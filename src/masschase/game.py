@@ -136,6 +136,11 @@ class _Axis:
             return 1e-9
         return float(self.nodes[-1]) - steps_left * self.shrink + 1e-9
 
+    def valid_range(self, steps_left: int) -> slice:
+        """Index range of the nodes inside the safe radius, centred on the origin."""
+        inside = np.flatnonzero(np.abs(self.nodes) <= self.safe_radius(steps_left))
+        return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+
 
 @dataclass(frozen=True)
 class ValueTable:
@@ -174,7 +179,7 @@ class ValueTable:
             )
         i = int(np.clip(math.floor(r), 0, nodes.size - 2))
         f = float(np.clip(r - i, 0.0, 1.0))
-        # snap onto a node within the tolerance _shift_bilinear uses
+        # snap onto a node within the tolerance _split uses
         if abs(f - round(f)) < 1e-9:
             f = float(round(f))
         return i, f
@@ -272,62 +277,98 @@ def _terminal_grid(spec: GameSpec, hx: np.ndarray, hy: np.ndarray) -> np.ndarray
     return out
 
 
-def _shift_bilinear(W: np.ndarray, sx: float, sy: float, dhx: float, dhy: float) -> np.ndarray:
-    """Evaluate W at every node shifted by (sx, sy); NaN where support leaves the grid."""
+def _split(shift: float, dh: float, n: int) -> "tuple[int, float]":
+    """Whole-node part and fraction of an advance along one offset axis."""
+    if n == 1:
+        if abs(shift) > 1e-12:
+            raise BoxOverflow(f"advance {shift:g} leaves the single-node axis")
+        return 0, 0.0
+    r = shift / dh
+    i = math.floor(r + 1e-9)
+    f = r - i
+    if f < 1e-9:
+        f = 0.0
+    return i, f
 
-    def split(shift: float, dh: float, n: int):
-        if n == 1:
-            return (0, 0.0) if abs(shift) <= 1e-12 else None
-        r = shift / dh
-        i = math.floor(r + 1e-9)
-        f = r - i
-        if f < 1e-9:
-            f = 0.0
-        return (i, f)
 
-    nx, ny = W.shape
-    px, py = split(sx, dhx, nx), split(sy, dhy, ny)
-    if px is None or py is None:
-        return np.full_like(W, np.nan)
-    ix, fx = px
-    iy, fy = py
+def _running_costs(spec: GameSpec) -> np.ndarray:
+    """Running cost of every control pair, indexed [b, a].
 
-    def islice(kx: int, ky: int) -> np.ndarray:
-        out = np.full_like(W, np.nan)
-        xs0, xs1 = max(0, -kx), min(nx, nx - kx)
-        ys0, ys1 = max(0, -ky), min(ny, ny - ky)
-        if xs0 < xs1 and ys0 < ys1:
-            out[xs0:xs1, ys0:ys1] = W[xs0 + kx : xs1 + kx, ys0 + ky : ys1 + ky]
-        return out
-
-    if fx == 0.0 and fy == 0.0:
-        return islice(ix, iy)
-    return (
-        (1 - fx) * (1 - fy) * islice(ix, iy)
-        + fx * (1 - fy) * islice(ix + 1, iy)
-        + (1 - fx) * fy * islice(ix, iy + 1)
-        + fx * fy * islice(ix + 1, iy + 1)
-    )
+    Both built-in kinds ignore the densities and the time, so the entries,
+    evaluated once at the initial pair and t0, serve every cell and level.
+    """
+    tube = (spec.mX0.lo, spec.mX0.hi)
+    return np.array([
+        [running_cost(spec.rc, spec.mX0, spec.mY0, spec.t0, a, b, tube) for a in spec.dictA.fields]
+        for b in spec.dictB.fields
+    ])
 
 
 def _step_candidates(
-    spec: GameSpec, next_level: np.ndarray, dhx: float, dhy: float, t_k: float
+    spec: GameSpec,
+    ell: np.ndarray,
+    next_level: np.ndarray,
+    dhx: float,
+    dhy: float,
+    rect: "tuple[slice, slice]",
 ) -> np.ndarray:
-    """Per-(b, a) candidate arrays: dt * running cost + advanced next level.
+    """Per-(b, a) candidates dt * ell[b, a] + advanced next level, on one rectangle.
 
-    The running cost is evaluated at the step's start state; both built-in
-    kinds ignore the translated densities, so the initial pair stands in.
+    ``rect`` holds the row and column ranges of the cells valid at this
+    level. Each advance reads slice views of ``next_level`` shifted by whole
+    nodes and blends them bilinearly, skipping corners of zero weight. A view
+    that would leave the box raises BoxOverflow. The running cost ``ell``
+    comes from ``_running_costs``: it is state- and time-independent, so one
+    matrix serves every cell of the rectangle.
     """
     dt = spec.dt
-    tube = (spec.mX0.lo, spec.mX0.hi)
-    nb, na = len(spec.dictB), len(spec.dictA)
-    cands = np.empty((nb, na) + next_level.shape)
-    for bi, b in enumerate(spec.dictB.fields):
-        for ai, a in enumerate(spec.dictA.fields):
-            ell = running_cost(spec.rc, spec.mX0, spec.mY0, t_k, a, b, tube)
-            adv = _shift_bilinear(next_level, a.c * dt, b.c * dt, dhx, dhy)
-            cands[bi, ai] = dt * ell + adv
-    return cands
+    rows, cols = rect
+    nx, ny = next_level.shape
+    out = np.empty(ell.shape + (rows.stop - rows.start, cols.stop - cols.start))
+    if out.size == 0:
+        return out
+
+    def view(kx: int, ky: int) -> np.ndarray:
+        x0, x1, y0, y1 = rows.start + kx, rows.stop + kx, cols.start + ky, cols.stop + ky
+        if x0 < 0 or x1 > nx or y0 < 0 or y1 > ny:
+            raise BoxOverflow("an advance from the valid region leaves the offset box")
+        return next_level[x0:x1, y0:y1]
+
+    sx = [_split(a.c * dt, dhx, nx) for a in spec.dictA.fields]
+    sy = [_split(b.c * dt, dhy, ny) for b in spec.dictB.fields]
+    for bi, (iy, fy) in enumerate(sy):
+        for ai, (ix, fx) in enumerate(sx):
+            corners = [
+                (w, kx, ky)
+                for w, kx, ky in (
+                    ((1 - fx) * (1 - fy), ix, iy),
+                    (fx * (1 - fy), ix + 1, iy),
+                    ((1 - fx) * fy, ix, iy + 1),
+                    (fx * fy, ix + 1, iy + 1),
+                )
+                if w != 0.0
+            ]
+            c = out[bi, ai]
+            if len(corners) == 1:
+                np.add(dt * ell[bi, ai], view(ix, iy), out=c)
+                continue
+            np.multiply(corners[0][0], view(*corners[0][1:]), out=c)
+            for w, kx, ky in corners[1:]:
+                c += w * view(kx, ky)
+            c += dt * ell[bi, ai]
+    return out
+
+
+def _valid_rect(valid: np.ndarray) -> "tuple[slice, slice]":
+    """Row and column ranges of one level's valid cells, which form a rectangle."""
+    rows = np.flatnonzero(valid.any(axis=1))
+    cols = np.flatnonzero(valid.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    rect = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    if not valid[rect].all():
+        raise ValueError("the valid cells of a level must form a rectangle")
+    return rect
 
 
 def solve_values(
@@ -365,24 +406,22 @@ def solve_values(
 
     terminal = _terminal_grid(spec, hx, hy)
     lower[-1] = terminal
-    upper[-1] = terminal.copy()
+    upper[-1] = terminal
     valid[-1] = True
 
+    ell = _running_costs(spec)
     for k in range(spec.n_steps - 1, -1, -1):
         steps_left = spec.n_steps - k
-        mask = (np.abs(hx)[:, None] <= ax.safe_radius(steps_left)) & (
-            np.abs(hy)[None, :] <= ay.safe_radius(steps_left)
-        )
-        t_k = spec.level_times[k]
-        c_lo = _step_candidates(spec, lower[k + 1], ax.dh, ay.dh, t_k)
+        rect = ax.valid_range(steps_left), ay.valid_range(steps_left)
+        c_lo = _step_candidates(spec, ell, lower[k + 1], ax.dh, ay.dh, rect)
         lo_k = np.max(np.min(c_lo, axis=1), axis=0)
-        c_up = _step_candidates(spec, upper[k + 1], ax.dh, ay.dh, t_k)
+        c_up = _step_candidates(spec, ell, upper[k + 1], ax.dh, ay.dh, rect)
         up_k = np.min(np.max(c_up, axis=1), axis=0)
-        if not (np.all(np.isfinite(lo_k[mask])) and np.all(np.isfinite(up_k[mask]))):
+        if not (np.all(np.isfinite(lo_k)) and np.all(np.isfinite(up_k))):
             raise BoxOverflow(f"level {k}: a safe-region cell lost its interpolation support")
-        lower[k] = np.where(mask, lo_k, np.nan)
-        upper[k] = np.where(mask, up_k, np.nan)
-        valid[k] = mask
+        lower[k][rect] = lo_k
+        upper[k][rect] = up_k
+        valid[k][rect] = True
 
     times = spec.level_times
     for arr in (lower, upper, valid, hx, hy, times):
@@ -398,50 +437,34 @@ def extract_strategy(spec: GameSpec, table: ValueTable) -> FeedbackStrategy:
     shape = table.lower.shape[1:]
     a_idx = np.full((L,) + shape, -1, dtype=int)
     b_idx = np.full((L,) + shape, -1, dtype=int)
+    ell = _running_costs(spec)
     for k in range(L):
-        cands = _step_candidates(spec, table.lower[k + 1], table.dh_x, table.dh_y, table.times[k])
-        inner = np.where(np.isfinite(cands), cands, np.inf).min(axis=1)  # over a
-        bk = np.where(np.isfinite(inner), inner, -np.inf).argmax(axis=0)
-        picked = np.take_along_axis(cands, bk[None, None, :, :], axis=0)[0]  # (na, nx, ny)
-        ak = np.where(np.isfinite(picked), picked, np.inf).argmin(axis=0)
-        mask = table.valid[k]
-        a_idx[k][mask] = ak[mask]
-        b_idx[k][mask] = bk[mask]
+        rect = _valid_rect(table.valid[k])
+        cands = _step_candidates(spec, ell, table.lower[k + 1], table.dh_x, table.dh_y, rect)
+        bk = cands.min(axis=1).argmax(axis=0)
+        picked = np.take_along_axis(cands, bk[None, None], axis=0)[0]  # (na, rows, cols)
+        a_idx[k][rect] = picked.argmin(axis=0)
+        b_idx[k][rect] = bk
     return FeedbackStrategy(hx=table.hx, hy=table.hy, a_index=a_idx, b_index=b_idx)
 
 
 def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:
     """Max mismatch between level k and a recomputed one-step lower recursion.
 
-    Evaluated over cells valid at level k; the solver's own table reproduces
-    itself to roundoff, while an injected candidate table shows its
-    interpolation-scale defect.
+    Evaluated over the cells valid at level k; the solver's own table
+    reproduces itself to roundoff. A table whose level k + 1 is not finite
+    wherever the recursion reads it gives NaN.
     """
     if not 0 <= k < spec.n_steps:
         raise ValueError(f"level k must be in [0, {spec.n_steps}), got {k}")
-    cands = _step_candidates(spec, table.lower[k + 1], table.dh_x, table.dh_y, table.times[k])
-    recomputed = np.max(np.min(cands, axis=1), axis=0)
-    mask = table.valid[k] & np.isfinite(recomputed) & np.isfinite(table.lower[k])
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(recomputed[mask] - table.lower[k][mask])))
-
-
-def analytic_table(spec: GameSpec, value_fn, dh_x=None, dh_y=None) -> ValueTable:
-    """Tabulate a closed-form candidate value on the solver's own layout.
-
-    ``value_fn(hX, hY, t)`` supplies the value at a translated state; used to
-    measure the recursion residual of analytic candidates.
-    """
-    ref = solve_values(spec, dh_x=dh_x, dh_y=dh_y)
-    lower = np.full_like(ref.lower, np.nan)
-    for k, t in enumerate(ref.times):
-        for i, hx in enumerate(ref.hx):
-            for j, hy in enumerate(ref.hy):
-                lower[k, i, j] = value_fn(float(hx), float(hy), float(t))
-    return ValueTable(
-        times=ref.times, hx=ref.hx, hy=ref.hy, lower=lower, upper=lower.copy(), valid=ref.valid
+    rect = _valid_rect(table.valid[k])
+    cands = _step_candidates(
+        spec, _running_costs(spec), table.lower[k + 1], table.dh_x, table.dh_y, rect
     )
+    if cands.size == 0:
+        return 0.0
+    recomputed = np.max(np.min(cands, axis=1), axis=0)
+    return float(np.max(np.abs(recomputed - table.lower[k][rect])))
 
 
 def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float]":
