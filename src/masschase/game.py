@@ -36,9 +36,9 @@ from .cost import (
     final_cost,
     running_cost,
 )
-from .errors import BoxOverflow, NotReduced, TooDeep, TubeOverflow
+from .errors import BoxOverflow, NotReduced, TooDeep, TubeOverflow, ZeroMass
 from .flow import cfl_time_steps, fokker_planck_solve
-from .grid import DensityGrid, mean, simpson_weights, support_interval
+from .grid import DensityGrid, require_same_grid, simpson_weights, support_interval
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,27 @@ class GameSpec:
         return np.linspace(self.t0, self.T, self.n_steps + 1)
 
 
+def _translated(m: DensityGrid, offsets: np.ndarray) -> np.ndarray:
+    """Node values of m rigidly translated by each offset, one row per offset.
+
+    Linear resampling in one pass, exact at node shifts. Every shifted
+    support must stay inside the grid domain; the extreme offsets decide.
+    """
+    supp = support_interval(m)
+    if supp is not None and offsets.size:
+        for h in (float(offsets.min()), float(offsets.max())):
+            if supp[0] + h < m.lo - 1e-12 or supp[1] + h > m.hi + 1e-12:
+                raise TubeOverflow(
+                    f"translation by {h:g} pushes support [{supp[0]:g},{supp[1]:g}] "
+                    f"outside [{m.lo:g},{m.hi:g}]"
+                )
+    x = m.x
+    v = np.interp(x[None, :] - offsets[:, None], x, m.values, left=0.0, right=0.0)
+    v[:, 0] = 0.0
+    v[:, -1] = 0.0
+    return v
+
+
 def translate_density(m: DensityGrid, h: float) -> DensityGrid:
     """Rigid translation by h via linear resampling; exact at node shifts.
 
@@ -88,16 +109,7 @@ def translate_density(m: DensityGrid, h: float) -> DensityGrid:
     """
     if h == 0.0:
         return m
-    supp = support_interval(m)
-    if supp is not None and (supp[0] + h < m.lo - 1e-12 or supp[1] + h > m.hi + 1e-12):
-        raise TubeOverflow(
-            f"translation by {h:g} pushes support [{supp[0]:g},{supp[1]:g}] "
-            f"outside [{m.lo:g},{m.hi:g}]"
-        )
-    v = np.interp(m.x - h, m.x, m.values, left=0.0, right=0.0)
-    v[0] = 0.0
-    v[-1] = 0.0
-    return DensityGrid(m.lo, m.hi, v)
+    return DensityGrid(m.lo, m.hi, _translated(m, np.array([h]))[0])
 
 
 def advance_reduced(
@@ -257,24 +269,35 @@ def _prediffused(spec: GameSpec) -> "tuple[DensityGrid, DensityGrid]":
 
 
 def _terminal_grid(spec: GameSpec, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
-    """Final cost on every translated pair; fast paths for the common costs."""
+    """Final cost on every translated pair; matrix products for the common costs."""
     mX, mY = _prediffused(spec)
+    VX, VY = _translated(mX, hx), _translated(mY, hy)
     if isinstance(spec.fc, MeanDiffSquared):
-        mu_x = np.array([mean(translate_density(mX, h)) for h in hx])
-        mu_y = np.array([mean(translate_density(mY, h)) for h in hy])
+        mu_x, mu_y = _row_means(VX, mX), _row_means(VY, mY)
         return (mu_x[:, None] - mu_y[None, :]) ** 2
     if isinstance(spec.fc, Overlap):
-        w = simpson_weights(mX.n_cells) * mX.dx
-        VX = np.stack([translate_density(mX, h).values for h in hx])
-        VY = np.stack([translate_density(mY, h).values for h in hy])
-        return np.einsum("ik,k,jk->ij", VX, w, VY)
-    tx = [translate_density(mX, h) for h in hx]
-    ty = [translate_density(mY, h) for h in hy]
+        require_same_grid(mX, mY)
+        return (VX * (simpson_weights(mX.n_cells) * mX.dx)) @ VY.T
+    tx = [mX.with_values(v) for v in VX]
+    ty = [mY.with_values(v) for v in VY]
     out = np.empty((hx.size, hy.size))
     for i, mx_i in enumerate(tx):
         for j, my_j in enumerate(ty):
             out[i, j] = final_cost(spec.fc, mx_i, my_j)
     return out
+
+
+def _row_means(V: np.ndarray, m: DensityGrid) -> np.ndarray:
+    """``grid.mean`` of every row of V, node values on the grid of m.
+
+    Each row takes the same dot product as ``grid.mean``, so the means match
+    it bit for bit; a matrix product would sum in another order, and the
+    squared mean gap amplifies that roundoff where the two means nearly meet.
+    """
+    w = simpson_weights(m.n_cells)
+    if np.any(V @ w <= 0.0):
+        raise ZeroMass("mean undefined for a zero-mass density")
+    return np.array([np.dot(w, xv) for xv in m.x * V]) * m.dx
 
 
 def _split(shift: float, dh: float, n: int) -> "tuple[int, float]":
