@@ -437,9 +437,9 @@ def solve_values(
         steps_left = spec.n_steps - k
         rect = ax.valid_range(steps_left), ay.valid_range(steps_left)
         c_lo = _step_candidates(spec, ell, lower[k + 1], ax.dh, ay.dh, rect)
-        lo_k = np.max(np.min(c_lo, axis=1), axis=0)
+        lo_k = np.max(np.min(c_lo, axis=1), axis=0)  # min over a, then max over b
         c_up = _step_candidates(spec, ell, upper[k + 1], ax.dh, ay.dh, rect)
-        up_k = np.min(np.max(c_up, axis=1), axis=0)
+        up_k = np.min(np.max(c_up, axis=0), axis=0)  # max over b, then min over a
         if not (np.all(np.isfinite(lo_k)) and np.all(np.isfinite(up_k))):
             raise BoxOverflow(f"level {k}: a safe-region cell lost its interpolation support")
         lower[k][rect] = lo_k
