@@ -271,9 +271,12 @@ def density_from_csv(path: "str | Path") -> DensityGrid:
 def window_integral(m: "DensityGrid | GradientGrid", a: float, b: float) -> float:
     """Integral of the node data over [a, b] inside the grid.
 
-    Whole node panels are summed with composite Simpson; the partial end
-    cells (and any leftover odd cell) integrate the linear interpolant
-    exactly. Outside [lo, hi] the density is zero.
+    Whole node panels are summed with composite Simpson on pairs of cells
+    that start at even global nodes, the pairing ``total_mass`` uses, so a
+    window holding the whole support returns the total mass. The partial end
+    cells, and a whole cell left over at either end by that pairing,
+    integrate the linear interpolant exactly. Outside [lo, hi] the density
+    is zero.
     """
     if b <= a:
         return 0.0
@@ -289,17 +292,17 @@ def window_integral(m: "DensityGrid | GradientGrid", a: float, b: float) -> floa
 
     i0 = int(np.ceil((a - m.lo) / dx - 1e-12))
     i1 = int(np.floor((b - m.lo) / dx + 1e-12))
-    if i1 <= i0:
+    if i1 < i0:
         return float(_linear_piece(a, b))
     total = _linear_piece(a, x[i0]) + _linear_piece(x[i1], b)
-    n_panels = i1 - i0
-    if n_panels % 2 == 1:
+    if i0 % 2 == 1 and i0 < i1:
         total += _linear_piece(x[i0], x[i0 + 1])
         i0 += 1
-        n_panels -= 1
-    if n_panels > 0:
-        w = simpson_weights(n_panels)
-        total += float(np.dot(w, v[i0 : i1 + 1]) * dx)
+    if i1 % 2 == 1 and i0 < i1:
+        total += _linear_piece(x[i1 - 1], x[i1])
+        i1 -= 1
+    if i1 > i0:
+        total += float(np.dot(simpson_weights(i1 - i0), v[i0 : i1 + 1]) * dx)
     return float(total)
 
 

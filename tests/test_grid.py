@@ -21,6 +21,8 @@ from masschase.grid import (
     window_integral,
 )
 
+from masschase.scenarios import make_bump
+
 from conftest import smooth_bump
 
 
@@ -231,6 +233,29 @@ class TestWindowIntegral:
         xs = np.linspace(a, b, 400_001)
         oracle = np.trapezoid(bump_profile(xs, 0.0, 0.6, 4), xs) / z
         assert abs(window_integral(m, a, b) - oracle) <= 2e-6
+
+
+    @given(i=st.integers(100, 212), j=st.integers(300, 420))
+    @settings(max_examples=60, deadline=None)
+    def test_whole_support_window_on_nodes_recovers_mass(self, i, j):
+        # on 512 cells over [-3, 3] the support (-0.5, 0.5) covers nodes
+        # 214..298, so no mass lies within a cell of the window's ends,
+        # whose nodes take either parity
+        m = make_bump(-3.0, 3.0, 512, 0.0, 0.5)
+        assert abs(window_integral(m, m.x[i], m.x[j]) - total_mass(m)) <= 1e-13
+
+    def test_whole_support_window_at_odd_node(self):
+        m = make_bump(-3.0, 3.0, 512, 0.0, 0.5)
+        assert int(np.ceil((-1.0 - m.lo) / m.dx)) % 2 == 1
+        assert abs(window_integral(m, -1.0, 1.0) - total_mass(m)) <= 1e-13
+
+    def test_window_around_one_node_integrates_the_interpolant(self):
+        # a hat of height 1 on the node 0.25 with half-width dx = 0.125; the
+        # window straddles its kink, where one trapezoid would give 0.0184
+        v = np.zeros(9)
+        v[2] = 1.0
+        g = GradientGrid(0.0, 1.0, v)
+        assert abs(window_integral(g, 0.24, 0.26) - (0.02 - 0.01**2 / 0.125)) <= 1e-15
 
 
 class TestCsv:
