@@ -13,20 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .controls import ControlField, ControlSchedule
-from .errors import ZeroMass
 from .flow import fokker_planck_solve, cfl_time_steps, push_forward
 from .grid import (
     DensityGrid,
-    lp_norm,
     mean,
     require_same_grid,
     simpson_weights,
-    total_mass,
     window_integral,
 )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import CflViolation, MassChaseError, TubeOverflow
 from .grid import (
     DensityGrid,
     GradientGrid,
-    centered_diff,
     h1_norm,
     lp_norm,
     sample_at,

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlDictionary, ControlField
-from .cost import RunningCost, final_cost, psi1, running_cost, running_cost_modulus
-from .errors import GridMismatch
+from .cost import RunningCost, psi1, running_cost, running_cost_modulus
 from .grid import (
     DensityGrid,
     GradientGrid,
@@ -185,8 +184,6 @@ class TabulatedCandidate:
     """
 
     def __init__(self, table, spec, use_lower: bool = True):
-        from .game import GameSpec, ValueTable  # deferred to avoid an import cycle
-
         self.table = table
         self.spec = spec
         self.use_lower = use_lower

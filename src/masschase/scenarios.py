@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import Constant, ControlSchedule, Scatter, standard_dictionary
-from .cost import MeanDiffSquared, Overlap, ZeroRunningCost, evaluate_J, psi1
+from .cost import MeanDiffSquared, Overlap, ZeroRunningCost, psi1
 from .errors import MassChaseError
 from .flow import fokker_planck_solve, push_forward
-from .game import GameSpec, simulate_play, solve_values, translate_density
+from .game import GameSpec, simulate_play, solve_values
 from .grid import DensityGrid, sample_at, support_interval, total_mass
 from .hamiltonian import Psi1Analytic, Psi3Analytic, isaacs_residual
 
