@@ -18,6 +18,15 @@ spacing max-speed*dt with a {-c, 0, c} dictionary does), no interpolation
 neighbors are needed and the box stays at its tight physical size. A
 configuration whose reachable cone cannot fit raises BoxOverflow instead of
 clamping, which would silently corrupt values near the edge.
+
+The safe region of a level is a rectangle, a centred index range per axis.
+One step kernel serves the solver, the strategy extraction and the DPP
+residual: it builds each control pair's candidate only on that rectangle,
+reading the advanced next level through slice views shifted by whole nodes
+and blending them bilinearly. Both built-in running costs depend on the
+controls alone, not on the densities or the time, so one matrix of running
+costs per control pair serves every cell and level. The terminal level
+translates each initial density for all offsets of its axis in one pass.
 """
 
 from __future__ import annotations
@@ -565,22 +574,18 @@ def simulate_play(spec: GameSpec, table: ValueTable) -> PlayResult:
     if not spec.reduced:
         raise NotReduced("simulate_play requires a reduced game")
     dt = spec.dt
-    tube = (spec.mX0.lo, spec.mX0.hi)
+    ell = _running_costs(spec)
     hX, hY = 0.0, 0.0
     offsets = [(hX, hY)]
     a_seq: "list[int]" = []
     b_seq: "list[int]" = []
     for k in range(spec.n_steps):
-        t_k = spec.level_times[k]
         best = None  # (value, bi, ai)
         for bi in range(len(spec.dictB)):
             inner = None  # (value, ai)
             for ai in range(len(spec.dictA)):
                 hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec, dt)
-                ell = running_cost(
-                    spec.rc, spec.mX0, spec.mY0, t_k, spec.dictA[ai], spec.dictB[bi], tube
-                )
-                v = dt * ell + table.value_at("lower", k + 1, hX2, hY2)
+                v = dt * ell[bi, ai] + table.value_at("lower", k + 1, hX2, hY2)
                 if inner is None or v < inner[0]:
                     inner = (v, ai)
             if best is None or inner[0] > best[0]:
