@@ -151,6 +151,11 @@ class _Axis:
         self.shrink = self.c_max * dt + (0.0 if grid_exact else dh)
         n_half = int(math.ceil(n_steps * self.shrink / dh - 1e-9))
         self.nodes = np.arange(-n_half, n_half + 1) * dh
+        if self.nodes.size > 1:
+            # split advances on the spacing the table reports as dh_x / dh_y,
+            # so extract_strategy and dpp_residual re-read a table exactly
+            # as it was solved; the two can differ in the last bit
+            self.dh = float(self.nodes[1] - self.nodes[0])
 
     def safe_radius(self, steps_left: int) -> float:
         if self.nodes.size == 1:
