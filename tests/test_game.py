@@ -1,10 +1,31 @@
-"""Game module: value-table lookups."""
+"""Game module: value-table lookups, the min-max solver and its terminal grid."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from masschase.errors import BoxOverflow
-from masschase.game import ValueTable
+from masschase.controls import AdmissibilityBounds, Constant, ControlDictionary, standard_dictionary
+from masschase.cost import (
+    ControlEffort,
+    MeanDiffSquared,
+    Overlap,
+    WindowDiffSquared,
+    ZeroRunningCost,
+    final_cost,
+    running_cost,
+)
+from masschase.errors import BoxOverflow, TubeOverflow
+from masschase.game import (
+    GameSpec,
+    ValueTable,
+    _terminal_grid,
+    brute_force_value,
+    dpp_residual,
+    extract_strategy,
+    solve_values,
+    translate_density,
+)
+from masschase.scenarios import make_bump
 
 
 def _table(W):
@@ -43,3 +64,131 @@ class TestValueAt:
         t = _table(self.RING)
         with pytest.raises(BoxOverflow):
             t.value_at("lower", 0, 1.5, 0.0)
+
+
+FINAL_COSTS = (Overlap(), MeanDiffSquared(), WindowDiffSquared(0.4))
+RUNNING_COSTS = (ZeroRunningCost(), ControlEffort(0.3, 0.7))
+
+
+def _spec(gap, radius, n_steps, fc, rc, dictA=None, dictB=None):
+    """Two equal bumps ``gap`` apart on 256 cells over [-3, 3], horizon 0.5."""
+    d = standard_dictionary(1.0)
+    return GameSpec(
+        T=0.5, t0=0.0, n_steps=n_steps,
+        mX0=make_bump(-3.0, 3.0, 256, -gap / 2, radius),
+        mY0=make_bump(-3.0, 3.0, 256, gap / 2, radius),
+        dictA=dictA or d, dictB=dictB or d, rc=rc, fc=fc,
+    )
+
+
+def _origin(table):
+    return 0, int(np.argmin(np.abs(table.hx))), int(np.argmin(np.abs(table.hy)))
+
+
+def _speeds(*cs):
+    return ControlDictionary(tuple(Constant(c) for c in cs), AdmissibilityBounds(1.0))
+
+
+games = st.tuples(
+    st.floats(-1.2, 1.2),  # gap between the bump centres
+    st.floats(0.3, 0.7),  # bump radius
+    st.integers(1, 4),  # n_steps
+)
+
+
+class TestSolveValues:
+    @pytest.mark.parametrize("rc", RUNNING_COSTS, ids=lambda rc: type(rc).__name__)
+    @pytest.mark.parametrize("fc", FINAL_COSTS, ids=lambda fc: type(fc).__name__)
+    @given(game=games)
+    @settings(max_examples=8, deadline=None)
+    def test_origin_values_match_the_game_tree(self, fc, rc, game):
+        spec = _spec(*game, fc, rc)
+        table = solve_values(spec)
+        lower, upper = brute_force_value(spec)
+        assert table.lower[_origin(table)] == pytest.approx(lower, rel=1e-12, abs=1e-15)
+        assert table.upper[_origin(table)] == pytest.approx(upper, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("rc", RUNNING_COSTS, ids=lambda rc: type(rc).__name__)
+    @given(game=games, bilinear=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_lower_never_exceeds_upper(self, rc, game, bilinear):
+        # speeds +-0.4 land between offset nodes, so those shifts are bilinear
+        d = _speeds(-1.0, -0.4, 0.0, 0.4, 1.0) if bilinear else None
+        table = solve_values(_spec(*game, MeanDiffSquared(), rc, d, d))
+        v = table.valid
+        assert np.all(np.isfinite(table.lower[v])) and np.all(np.isfinite(table.upper[v]))
+        assert np.all(table.lower[v] <= table.upper[v])
+
+    @given(game=games, bilinear=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_dpp_residual_is_zero_at_every_level(self, game, bilinear):
+        d = _speeds(-1.0, -0.4, 0.0, 0.4, 1.0) if bilinear else None
+        spec = _spec(*game, Overlap(), ControlEffort(0.3, 0.7), d, d)
+        table = solve_values(spec)
+        assert [dpp_residual(table, spec, k) for k in range(spec.n_steps)] == [0.0] * spec.n_steps
+
+    @pytest.mark.parametrize("rc", RUNNING_COSTS, ids=lambda rc: type(rc).__name__)
+    @given(game=games)
+    @settings(max_examples=8, deadline=None)
+    def test_strategy_picks_reproduce_the_lower_table(self, rc, game):
+        spec = _spec(*game, WindowDiffSquared(0.4), rc)
+        table = solve_values(spec)
+        strat = extract_strategy(spec, table)
+        tube = (spec.mX0.lo, spec.mX0.hi)
+        for k in range(spec.n_steps):
+            v = table.valid[k]
+            assert np.all(strat.a_index[k][~v] == -1) and np.all(strat.b_index[k][~v] == -1)
+            for i, j in zip(*np.nonzero(v)):
+                a = spec.dictA[strat.a_index[k, i, j]]
+                b = spec.dictB[strat.b_index[k, i, j]]
+                ell = running_cost(rc, spec.mX0, spec.mY0, spec.t0, a, b, tube)
+                nxt = table.value_at(
+                    "lower", k + 1, table.hx[i] + a.c * spec.dt, table.hy[j] + b.c * spec.dt
+                )
+                assert spec.dt * ell + nxt == pytest.approx(table.lower[k, i, j], rel=1e-14)
+
+    def test_grid_exact_x_with_bilinear_y_solves(self):
+        # the x shifts are whole nodes and the y shifts are not
+        spec = _spec(0.6, 0.5, 4, MeanDiffSquared(), ZeroRunningCost(),
+                     standard_dictionary(1.0), _speeds(-1.0, 0.4, 1.0))
+        table = solve_values(spec)
+        lower, upper = brute_force_value(spec)
+        assert table.lower[_origin(table)] == pytest.approx(lower, rel=1e-12)
+        assert table.upper[_origin(table)] == pytest.approx(upper, rel=1e-12)
+        v = table.valid
+        assert np.all(table.lower[v] <= table.upper[v])
+
+    def test_dpp_residual_raises_when_an_advance_leaves_the_box(self):
+        spec = _spec(0.6, 0.5, 1, MeanDiffSquared(), ZeroRunningCost())
+        nodes = np.array([-0.5, 0.0, 0.5])  # dt = 0.5, so every advance is one node
+        W = np.zeros((2, 3, 3))
+        table = ValueTable(times=spec.level_times, hx=nodes, hy=nodes, lower=W, upper=W,
+                           valid=np.ones(W.shape, dtype=bool))
+        with pytest.raises(BoxOverflow):
+            dpp_residual(table, spec, 0)
+
+
+class TestTerminalGrid:
+    @pytest.mark.parametrize("fc", FINAL_COSTS, ids=lambda fc: type(fc).__name__)
+    @given(
+        gap=st.floats(-1.2, 1.2),
+        radius=st.floats(0.3, 0.7),
+        hx=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=5),
+        hy=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=5),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_per_offset_translation(self, fc, gap, radius, hx, hy):
+        spec = _spec(gap, radius, 1, fc, ZeroRunningCost())
+        grid = _terminal_grid(spec, np.array(hx), np.array(hy))
+        for i, h in enumerate(hx):
+            for j, g in enumerate(hy):
+                ref = final_cost(fc, translate_density(spec.mX0, h), translate_density(spec.mY0, g))
+                assert grid[i, j] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_overflowing_offset_raises(self):
+        spec = _spec(0.6, 0.5, 1, Overlap(), ZeroRunningCost())
+        # mX0's support ends at 0.2, so a shift of 2.9 leaves [-3, 3]
+        with pytest.raises(TubeOverflow):
+            _terminal_grid(spec, np.array([0.0, 1.0, 2.9]), np.array([0.0]))
+        with pytest.raises(TubeOverflow):
+            translate_density(spec.mX0, 2.9)
