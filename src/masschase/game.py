@@ -489,8 +489,8 @@ def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:
     """Max mismatch between level k and a recomputed one-step lower recursion.
 
     Evaluated over the cells valid at level k; the solver's own table
-    reproduces itself to roundoff. A table whose level k + 1 is not finite
-    wherever the recursion reads it gives NaN.
+    reproduces itself exactly. A table whose level k + 1 holds NaN where the
+    recursion reads it gives NaN.
     """
     if not 0 <= k < spec.n_steps:
         raise ValueError(f"level k must be in [0, {spec.n_steps}), got {k}")
