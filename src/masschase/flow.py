@@ -7,6 +7,12 @@ together with classical RK4; the Jacobian obeys the variational equation
 J' = (d beta / dx)(y, s) * J, so no finite differencing of the flow map is
 ever needed. The inverse flow is realized by integrating backward in time
 rather than inverting the forward map numerically.
+
+The diffusive extension has one march, ``fokker_planck_sweep``: a
+Strang-split loop over a stack of densities on one grid, stored nodes by
+rows with the rows on the last axis, each row with its own schedule and
+noise level. Each row comes out bit-identical to a march of that row alone;
+``fokker_planck_solve`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .grid import (
     GradientGrid,
     h1_norm,
     lp_norm,
+    require_same_grid,
     sample_at,
     support_interval,
     total_mass,
@@ -435,22 +442,79 @@ def fokker_planck_solve(
     and the scheme is pure conservative transport. The diffusion stability
     limit sigma * dt / dx^2 <= 0.45 is enforced, as is the advective limit
     of the upwind half steps.
+
+    This is the one-row case of :func:`fokker_planck_sweep`, the only march.
     """
-    if sigma < 0:
+    return fokker_planck_sweep([m0], [schedule], [sigma], t0, t1, n_time_steps)[0]
+
+
+def _face_velocities(
+    schedules: "Sequence[ControlSchedule]", faces: np.ndarray, times: np.ndarray
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Face velocities and upwind masks for every row, one pair per time.
+
+    Each schedule's field pick at each time follows ``field_at``'s rule
+    (right-continuous, clamped to the schedule's span), found with one
+    ``searchsorted``. The ``(vf, vf >= 0)`` pair of ``(n_faces, n_rows)``
+    arrays is built once per distinct pick vector and shared by every time
+    with that vector, so a field is evaluated once per schedule segment.
+    """
+    picks = np.stack([
+        np.clip(np.searchsorted(s.breakpoints, times, side="right") - 1, 0, len(s.fields) - 1)
+        for s in schedules
+    ], axis=1)
+    distinct, which = np.unique(picks, axis=0, return_inverse=True)
+    table = []
+    for row in distinct:
+        vf = np.stack([s.fields[i].value(faces) for s, i in zip(schedules, row)], axis=1)
+        table.append((vf, vf >= 0.0))
+    return [table[i] for i in which.reshape(-1)]
+
+
+def fokker_planck_sweep(
+    m0s: "Sequence[DensityGrid]",
+    schedules: "Sequence[ControlSchedule]",
+    sigmas: "Sequence[float]",
+    t0: float,
+    t1: float,
+    n_time_steps: int,
+) -> "list[DensityGrid]":
+    """March many densities on one grid with one Strang-split loop.
+
+    Row r is ``m0s[r]`` driven by ``schedules[r]`` with noise ``sigmas[r]``;
+    all rows share the grid, the horizon and the step count. The state is an
+    ``(n_nodes, n_rows)`` C-order array, rows on the last axis, so every
+    stencil slice is one contiguous block. Face velocities are built once per
+    schedule segment rather than once per half step. The per-element
+    arithmetic is that of a lone march, so every row is bit-identical to
+    ``fokker_planck_solve`` on that row alone; a sigma = 0 row among noisy
+    ones gains ``0 * (stencil)``, which can change at most the sign of a zero.
+
+    The stability limits are checked at the largest sigma and the largest
+    schedule speed, which is the same as checking every row.
+    """
+    m0s, schedules = list(m0s), list(schedules)
+    sig = np.array(sigmas, dtype=float).reshape(-1)
+    if not m0s or not len(m0s) == len(schedules) == sig.size:
+        raise ValueError("need one schedule and one sigma per density, and at least one row")
+    if np.any(sig < 0):
         raise ValueError("sigma must be >= 0")
     if n_time_steps < 1:
         raise ValueError("n_time_steps must be >= 1")
     if t1 < t0:
         raise ValueError("need t0 <= t1")
+    require_same_grid(*m0s)
     if t1 == t0:
-        return m0
+        return m0s
     dt = (t1 - t0) / n_time_steps
+    m0 = m0s[0]
     dx = m0.dx
+    sigma = float(sig.max())
     if sigma * dt / dx**2 > 0.45:
         raise CflViolation(
             f"diffusion number sigma*dt/dx^2 = {sigma * dt / dx**2:.3f} exceeds 0.45"
         )
-    vmax = schedule.max_speed
+    vmax = max(s.max_speed for s in schedules)
     if vmax * (dt / 2.0) / dx > 0.95:
         raise CflViolation(
             f"advective number vmax*dt/(2*dx) = {vmax * dt / 2.0 / dx:.3f} exceeds 0.95"
@@ -458,26 +522,39 @@ def fokker_planck_solve(
 
     x = m0.x
     faces = 0.5 * (x[:-1] + x[1:])
-    v = m0.values.copy()
-    nu = sigma * dt / dx**2
+    tk = t0 + np.arange(n_time_steps) * dt
+    plan = _face_velocities(schedules, faces, np.stack([tk, tk + dt / 2.0], axis=1).reshape(-1))
 
-    def transport_half(v: np.ndarray, f: ControlField) -> np.ndarray:
-        vf = f.value(faces)
-        flux = np.where(vf >= 0.0, vf * v[:-1], vf * v[1:])
-        out = v.copy()
-        out[1:-1] -= (dt / 2.0) / dx * (flux[1:] - flux[:-1])
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+    v = np.stack([m.values for m in m0s], axis=1)
+    nu = sig * dt / dx**2
+    diffuse = sigma > 0.0
+    c = (dt / 2.0) / dx
+    upwind = np.empty(faces.shape + nu.shape)
+    flux = np.empty_like(upwind)
+    inner = np.empty_like(v[1:-1])
+
+    def transport_half(vf: np.ndarray, forward: np.ndarray) -> None:
+        # flux = where(vf >= 0, vf * v[:-1], vf * v[1:]), operand picked first
+        np.copyto(upwind, v[1:])
+        np.copyto(upwind, v[:-1], where=forward)
+        np.multiply(vf, upwind, out=flux)
+        np.subtract(flux[1:], flux[:-1], out=inner)
+        np.multiply(inner, c, out=inner)
+        v[1:-1] -= inner
+        v[0] = 0.0
+        v[-1] = 0.0
 
     for k in range(n_time_steps):
-        tk = t0 + k * dt
-        v = transport_half(v, schedule.field_at(tk))
-        if sigma > 0.0:
-            v = v.copy()
-            v[1:-1] += nu * (v[2:] - 2.0 * v[1:-1] + v[:-2])
-        v = transport_half(v, schedule.field_at(tk + dt / 2.0))
-    return DensityGrid(m0.lo, m0.hi, v)
+        transport_half(*plan[2 * k])
+        if diffuse:
+            # v[1:-1] += nu * (v[2:] - 2 * v[1:-1] + v[:-2]), term by term
+            np.multiply(v[1:-1], 2.0, out=inner)
+            np.subtract(v[2:], inner, out=inner)
+            inner += v[:-2]
+            inner *= nu
+            v[1:-1] += inner
+        transport_half(*plan[2 * k + 1])
+    return [DensityGrid(m0.lo, m0.hi, v[:, r]) for r in range(v.shape[1])]
 
 
 def cfl_time_steps(

@@ -15,11 +15,12 @@ from masschase.controls import (
     schedule_from_sequence,
     standard_dictionary,
 )
-from masschase.errors import CflViolation, TubeOverflow
+from masschase.errors import CflViolation, GridMismatch, TubeOverflow
 from masschase.flow import (
     FlowMap,
     SupportTube,
     fokker_planck_solve,
+    fokker_planck_sweep,
     integrate_flow,
     inverse_flow,
     liouville_error,
@@ -360,3 +361,105 @@ class TestFokkerPlanck:
             out = fokker_planck_solve(m0, sched, sigma, 0.0, T, n_t)
             dists.append(float(np.sum(np.abs(out.values - ref.values)) * m0.dx))
         assert all(d1 < d0 for d0, d1 in zip(dists, dists[1:])), dists
+
+
+def lone_march(m0, schedule, sigma, t0, t1, n_time_steps):
+    """Reference: one Strang-split row, a field lookup at every half step."""
+    dt = (t1 - t0) / n_time_steps
+    dx = m0.dx
+    x = m0.x
+    faces = 0.5 * (x[:-1] + x[1:])
+    v = m0.values.copy()
+    nu = sigma * dt / dx**2
+
+    def transport_half(v, f):
+        vf = f.value(faces)
+        flux = np.where(vf >= 0.0, vf * v[:-1], vf * v[1:])
+        out = v.copy()
+        out[1:-1] -= (dt / 2.0) / dx * (flux[1:] - flux[:-1])
+        out[0] = 0.0
+        out[-1] = 0.0
+        return out
+
+    for k in range(n_time_steps):
+        tk = t0 + k * dt
+        v = transport_half(v, schedule.field_at(tk))
+        if sigma > 0.0:
+            v = v.copy()
+            v[1:-1] += nu * (v[2:] - 2.0 * v[1:-1] + v[:-2])
+        v = transport_half(v, schedule.field_at(tk + dt / 2.0))
+    return v
+
+
+class TestFokkerPlanckSweep:
+    T, N_T = 0.4, 240
+    # the half-step time of step 100, in the march's own expression order
+    SWITCH = 0.0 + 100 * (T / N_T) + (T / N_T) / 2.0
+
+    def _rows(self):
+        lo, hi, n = -2.5, 2.5, 256
+        schedules = [
+            const_schedule(0.8, 0.0, self.T),
+            const_schedule(-0.6, 0.0, self.T),
+            ControlSchedule.constant(Affine(0.7, -0.2, 0.9), 0.0, self.T),
+            ControlSchedule((0.0, self.SWITCH, self.T), (Constant(0.5), Affine(-0.8, 0.1, 0.6))),
+        ]
+        rows = []
+        for i, sched in enumerate(schedules):
+            for sigma in (0.0, 0.003, 0.1):
+                m0 = make_bump(lo, hi, n, -0.4 + 0.25 * i, 0.5)
+                rows.append((m0, sched, sigma))
+        return rows
+
+    def test_every_row_equals_a_lone_march(self):
+        rows = self._rows()
+        switched = rows[-1][1]
+        assert switched.field_at(self.SWITCH) is switched.fields[1]
+        outs = fokker_planck_sweep(
+            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], 0.0, self.T, self.N_T
+        )
+        assert len(outs) == len(rows)
+        for (m0, sched, sigma), out in zip(rows, outs):
+            ref = lone_march(m0, sched, sigma, 0.0, self.T, self.N_T)
+            assert np.array_equal(out.values, ref), (sched, sigma)
+
+    def test_solve_is_the_one_row_sweep(self):
+        m0, sched, sigma = self._rows()[10]
+        out = fokker_planck_solve(m0, sched, sigma, 0.0, self.T, self.N_T)
+        assert np.array_equal(out.values, lone_march(m0, sched, sigma, 0.0, self.T, self.N_T))
+
+    def test_one_row_over_the_limit_raises(self):
+        m0 = make_bump(-2.0, 2.0, 512, 0.0, 0.5)
+        calm = const_schedule(0.1, 0.0, 1.0)
+        # diffusion: only the second row's sigma breaks the limit
+        with pytest.raises(CflViolation):
+            fokker_planck_sweep([m0, m0], [calm, calm], [0.0, 0.5], 0.0, 1.0, 400)
+        # advection: only the second row's speed breaks the limit
+        fast = const_schedule(100.0, 0.0, 1.0)
+        with pytest.raises(CflViolation):
+            fokker_planck_sweep([m0, m0], [calm, fast], [0.0, 0.0], 0.0, 1.0, 400)
+        fokker_planck_sweep([m0, m0], [calm, calm], [0.0, 0.001], 0.0, 1.0, 400)
+
+    def test_rows_on_different_grids_raise(self):
+        a = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        b = make_bump(-2.0, 2.0, 128, 0.0, 0.5)
+        sched = const_schedule(0.1, 0.0, 1.0)
+        with pytest.raises(GridMismatch):
+            fokker_planck_sweep([a, b], [sched, sched], [0.0, 0.0], 0.0, 1.0, 100)
+
+    def test_bad_arguments_raise(self):
+        m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        sched = const_schedule(0.1, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            fokker_planck_sweep([m0, m0], [sched, sched], [0.0, -0.1], 0.0, 1.0, 100)
+        with pytest.raises(ValueError):
+            fokker_planck_sweep([m0], [sched], [0.0], 0.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            fokker_planck_sweep([m0, m0], [sched], [0.0, 0.0], 0.0, 1.0, 100)
+
+    def test_zero_horizon_returns_the_inputs(self):
+        a = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        b = make_bump(-2.0, 2.0, 256, 0.3, 0.5)
+        sched = const_schedule(0.1, 0.0, 1.0)
+        out = fokker_planck_sweep([a, b], [sched, sched], [0.0, 0.1], 0.5, 0.5, 10)
+        assert out[0] is a and out[1] is b
