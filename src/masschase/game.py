@@ -46,7 +46,7 @@ from .cost import (
     running_cost,
 )
 from .errors import BoxOverflow, NotReduced, TooDeep, TubeOverflow, ZeroMass
-from .flow import cfl_time_steps, fokker_planck_solve
+from .flow import cfl_time_steps, fokker_planck_sweep
 from .grid import DensityGrid, require_same_grid, simpson_weights, support_interval
 
 
@@ -277,8 +277,9 @@ def _prediffused(spec: GameSpec) -> "tuple[DensityGrid, DensityGrid]":
         return spec.mX0, spec.mY0
     zero = ControlSchedule.constant(Constant(0.0), spec.t0, spec.T)
     n = cfl_time_steps(spec.mX0, zero, spec.sigma, spec.t0, spec.T)
-    mX = fokker_planck_solve(spec.mX0, zero, spec.sigma, spec.t0, spec.T, n)
-    mY = fokker_planck_solve(spec.mY0, zero, spec.sigma, spec.t0, spec.T, n)
+    mX, mY = fokker_planck_sweep(
+        [spec.mX0, spec.mY0], [zero, zero], [spec.sigma, spec.sigma], spec.t0, spec.T, n
+    )
     return mX, mY
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import Constant, ControlSchedule, Scatter, standard_dictionary
-from .cost import MeanDiffSquared, Overlap, ZeroRunningCost, psi1
+from .cost import MeanDiffSquared, Overlap, ZeroRunningCost, psi1, psi3
 from .errors import MassChaseError
-from .flow import fokker_planck_solve, push_forward
+from .flow import cfl_time_steps, fokker_planck_sweep, push_forward
 from .game import GameSpec, simulate_play, solve_values
 from .grid import DensityGrid, sample_at, support_interval, total_mass
 from .hamiltonian import Psi1Analytic, Psi3Analytic, isaacs_residual
@@ -482,29 +482,28 @@ def run_viscosity_sweep(
     mY = make_bump(lo, hi, n_cells, centers[1], radii[1])
     alpha = ControlSchedule.constant(Constant(speeds[0]), 0.0, T)
     beta = ControlSchedule.constant(Constant(speeds[1]), 0.0, T)
-    from .flow import cfl_time_steps
+    if fc_kind == "overlap":
+        cost = psi1
+    elif fc_kind == "mean_gap":
+        cost = psi3
+    else:
+        raise ValueError(f"unknown final-cost kind {fc_kind!r}")
 
     sigma_max = max(max(sigmas), 1e-12)
     n_t = n_time_steps if n_time_steps is not None else cfl_time_steps(
         mX, alpha, sigma_max, 0.0, T
     )
 
-    def J_of(sigma: float) -> float:
-        mX_T = fokker_planck_solve(mX, alpha, sigma, 0.0, T, n_t)
-        mY_T = fokker_planck_solve(mY, beta, sigma, 0.0, T, n_t)
-        if fc_kind == "overlap":
-            return psi1(mX_T, mY_T)
-        if fc_kind == "mean_gap":
-            from .cost import psi3
-
-            return psi3(mX_T, mY_T)
-        raise ValueError(f"unknown final-cost kind {fc_kind!r}")
-
-    J0 = J_of(0.0)
-    rows = []
-    for s in sigmas:
-        Js = J_of(s)
-        rows.append({"sigma": s, "J": Js, "gap_to_sigma0": abs(Js - J0)})
+    # one march: mX rows then mY rows, each at (0, sigmas..., 0); the second
+    # zero-noise pair is marched on its own rows for the identity check
+    row_sigmas = (0.0, *sigmas, 0.0)
+    n = len(row_sigmas)
+    finals = fokker_planck_sweep(
+        [mX] * n + [mY] * n, [alpha] * n + [beta] * n, row_sigmas * 2, 0.0, T, n_t
+    )
+    Js = [cost(finals[i], finals[n + i]) for i in range(n)]
+    J0 = Js[0]
+    rows = [{"sigma": s, "J": J, "gap_to_sigma0": abs(J - J0)} for s, J in zip(sigmas, Js[1:-1])]
     gaps = [r["gap_to_sigma0"] for r in rows]
 
     report = ScenarioReport(name=f"viscosity_sweep_{fc_kind}")
@@ -519,7 +518,7 @@ def run_viscosity_sweep(
     )
     report.checks.append(
         make_check(
-            "reference_identity", abs(J_of(0.0) - J0), 0.0,
+            "reference_identity", abs(Js[-1] - J0), 0.0,
             "structural: the zero-noise entry is its own reference",
             1e-15 * max(tol_scale, 1e-12), mode="abs",
         )

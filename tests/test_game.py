@@ -1,10 +1,18 @@
 """Game module: value-table lookups, the min-max solver and its terminal grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masschase.controls import AdmissibilityBounds, Constant, ControlDictionary, standard_dictionary
+from masschase.controls import (
+    AdmissibilityBounds,
+    Constant,
+    ControlDictionary,
+    ControlSchedule,
+    standard_dictionary,
+)
 from masschase.cost import (
     ControlEffort,
     MeanDiffSquared,
@@ -15,9 +23,11 @@ from masschase.cost import (
     running_cost,
 )
 from masschase.errors import BoxOverflow, TubeOverflow
+from masschase.flow import cfl_time_steps, fokker_planck_solve
 from masschase.game import (
     GameSpec,
     ValueTable,
+    _prediffused,
     _terminal_grid,
     brute_force_value,
     dpp_residual,
@@ -166,6 +176,37 @@ class TestSolveValues:
                            valid=np.ones(W.shape, dtype=bool))
         with pytest.raises(BoxOverflow):
             dpp_residual(table, spec, 0)
+
+
+class TestNoisyGame:
+    SIGMA = 0.02
+
+    def _noisy(self, gap, n_steps, fc):
+        return dataclasses.replace(
+            _spec(gap, 0.5, n_steps, fc, ZeroRunningCost()), sigma=self.SIGMA
+        )
+
+    def test_prediffused_pair_equals_two_lone_marches(self):
+        spec = self._noisy(0.6, 2, Overlap())
+        mX, mY = _prediffused(spec)
+        zero = ControlSchedule.constant(Constant(0.0), spec.t0, spec.T)
+        n = cfl_time_steps(spec.mX0, zero, spec.sigma, spec.t0, spec.T)
+        for m, m0 in ((mX, spec.mX0), (mY, spec.mY0)):
+            lone = fokker_planck_solve(m0, zero, spec.sigma, spec.t0, spec.T, n)
+            assert np.array_equal(m.values, lone.values)
+        assert not np.array_equal(mX.values, spec.mX0.values)
+
+    @pytest.mark.parametrize("n_steps", (1, 2, 3))
+    @pytest.mark.parametrize("fc", FINAL_COSTS[:2], ids=lambda fc: type(fc).__name__)
+    def test_origin_values_match_the_game_tree(self, fc, n_steps):
+        spec = self._noisy(0.7, n_steps, fc)
+        table = solve_values(spec)
+        lower, upper = brute_force_value(spec)
+        assert table.lower[_origin(table)] == pytest.approx(lower, rel=1e-12, abs=1e-15)
+        assert table.upper[_origin(table)] == pytest.approx(upper, rel=1e-12, abs=1e-15)
+        # the noise moves the value, so the test sees the diffused densities
+        quiet = brute_force_value(_spec(0.7, 0.5, n_steps, fc, ZeroRunningCost()))
+        assert lower != quiet[0]
 
 
 class TestTerminalGrid:
