@@ -44,12 +44,10 @@ from .errors import (
     ZeroMass,
 )
 from .flow import (
-    FlowMap,
     SupportTube,
     fokker_planck_solve,
     integrate_flow,
     inverse_flow,
-    liouville_error,
     push_forward,
     solve_continuity,
     support_tube,

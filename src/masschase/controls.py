@@ -2,9 +2,11 @@
 
 Fields are defined on all of R (clipped where applicable), which sidesteps
 compact-support bookkeeping; the effective domain is always the support tube,
-where clipping stays inactive in the canonical scenarios. Each kind exposes
-its analytic spatial derivative so flow integration never needs finite
-differences of the field.
+where clipping stays inactive in the canonical scenarios. Every kind is a
+clipped affine map ``clip(slope * x + intercept, -clip, clip)`` and reports
+that ``(slope, intercept, clip)`` triple as ``clipped_affine``, so the flow
+module solves characteristics in closed form without knowing any field's
+formula. Each kind also exposes its analytic spatial derivative.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class Constant:
 
     sup_norm = property(lambda self: abs(self.c))
     div_sup = property(lambda self: 0.0)
+    clipped_affine = property(lambda self: (0.0, self.c, abs(self.c)))
 
     def describe(self) -> str:
         return f"constant({self.c:g})"
@@ -55,6 +58,7 @@ class Affine:
 
     sup_norm = property(lambda self: self.clip)
     div_sup = property(lambda self: abs(self.slope))
+    clipped_affine = property(lambda self: (self.slope, self.intercept, self.clip))
 
     def describe(self) -> str:
         return f"affine({self.slope:g}*x{self.intercept:+g}, clip {self.clip:g})"
@@ -89,6 +93,11 @@ class Scatter:
 
     sup_norm = property(lambda self: self.c)
     div_sup = property(lambda self: 2.0 * self.c / (self.xi2 - self.xi1))
+
+    @property
+    def clipped_affine(self) -> "tuple[float, float, float]":
+        w = self.xi2 - self.xi1
+        return 2.0 * self.c / w, -self.c * (self.xi1 + self.xi2) / w, self.c
 
     def describe(self) -> str:
         return f"scatter([{self.xi1:g},{self.xi2:g}], c {self.c:g})"

@@ -11,7 +11,6 @@ choice that actually depends on the controls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -189,9 +188,13 @@ def evaluate_J(
     """Total cost of a pair of schedules: integrated running cost plus final cost.
 
     The time integral uses the trapezoid rule on n_time_samples + 1 sample
-    times. With a zero running cost the integral vanishes and the final
-    densities come from a single transport solve over the whole horizon, so
-    the result does not depend on n_time_samples at all.
+    times, with both ends of each interval evaluated under the controls
+    active inside it, so a control switch at a sample time is charged to the
+    interval it starts; for the built-in state-free costs the integral is
+    then exact whenever the schedules switch only at sample times. With a
+    zero running cost the integral vanishes and the final densities come
+    from a single transport solve over the whole horizon, so the result does
+    not depend on n_time_samples at all.
     """
     from .game import GameSpec  # circular at import time only
 
@@ -206,21 +209,19 @@ def evaluate_J(
         if spec.sigma > 0:
             n = cfl_time_steps(m0, sched, spec.sigma, s0, s1)
             return fokker_planck_solve(m0, sched, spec.sigma, s0, s1, n)
-        return push_forward(m0, sched, s0, s1, max(1, int(math.ceil(200 * (s1 - s0)))))
+        return push_forward(m0, sched, s0, s1)
 
     integral = 0.0
     if not isinstance(spec.rc, ZeroRunningCost):
         times = np.linspace(t0, T, n_time_samples + 1)
         mX_s, mY_s = spec.mX0, spec.mY0
-        ell = np.empty(times.size)
-        for k, s in enumerate(times):
-            if k > 0:
-                mX_s = evolve(mX_s, alpha, times[k - 1], s)
-                mY_s = evolve(mY_s, beta, times[k - 1], s)
-            ell[k] = running_cost(
-                spec.rc, mX_s, mY_s, s, alpha.field_at(s), beta.field_at(s), tube
-            )
-        integral = float(np.trapezoid(ell, times))
+        for s0, s1 in zip(times[:-1], times[1:]):
+            mid = 0.5 * (s0 + s1)
+            a, b = alpha.field_at(mid), beta.field_at(mid)
+            ell0 = running_cost(spec.rc, mX_s, mY_s, s0, a, b, tube)
+            mX_s, mY_s = evolve(mX_s, alpha, s0, s1), evolve(mY_s, beta, s0, s1)
+            ell1 = running_cost(spec.rc, mX_s, mY_s, s1, a, b, tube)
+            integral += 0.5 * (s1 - s0) * (ell0 + ell1)
         mX_T, mY_T = mX_s, mY_s
     else:
         mX_T = evolve(spec.mX0, alpha, t0, T)

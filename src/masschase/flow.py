@@ -2,11 +2,13 @@
 
 The density update is the push-forward along characteristics: transported
 value at x is the initial value at the backward foot point divided by the
-Jacobian of the forward flow there. Trajectories and Jacobians integrate
-together with classical RK4; the Jacobian obeys the variational equation
-J' = (d beta / dx)(y, s) * J, so no finite differencing of the flow map is
-ever needed. The inverse flow is realized by integrating backward in time
-rather than inverting the forward map numerically.
+Jacobian of the forward flow there. Every field kind is a clipped affine map
+``clip(a*x + b, -C, C)``, so on each schedule segment a characteristic is a
+translation or an exponential with at most one kink crossing, and the flow
+and its Jacobian are solved in closed form, with no time stepping and no
+finite differencing of the flow map. The inverse flow is the same solver run
+backward in time on the negated field rather than a numerical inversion of
+the forward map.
 
 The diffusive extension has one march, ``fokker_planck_sweep``: a
 Strang-split loop over a stack of densities on one grid, stored nodes by
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controls import ControlField, ControlSchedule
+from .controls import ControlSchedule
 from .errors import CflViolation, MassChaseError, TubeOverflow
 from .grid import (
     DensityGrid,
@@ -64,31 +66,46 @@ def support_tube(tube: SupportTube, t: float, s: float) -> "tuple[float, float]"
     return tube.omega_lo - tube.M * s, tube.omega_hi + tube.M * s
 
 
-def _rk4_pair(f: ControlField, y: np.ndarray, J: np.ndarray, h: float, steps: int):
-    """RK4 on (y, J) under a field constant in time; h may be negative."""
-    for _ in range(steps):
-        k1 = f.value(y)
-        l1 = f.derivative(y) * J
-        y2 = y + 0.5 * h * k1
-        k2 = f.value(y2)
-        l2 = f.derivative(y2) * (J + 0.5 * h * l1)
-        y3 = y + 0.5 * h * k2
-        k3 = f.value(y3)
-        l3 = f.derivative(y3) * (J + 0.5 * h * l2)
-        y4 = y + h * k3
-        k4 = f.value(y4)
-        l4 = f.derivative(y4) * (J + h * l3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        J = J + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    return y, J
+def _exact_piece(
+    triple: "tuple[float, float, float]", y: np.ndarray, J: np.ndarray, tau: float
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Exact flow of y' = clip(a*y + b, -C, C) over time tau >= 0, with its Jacobian.
+
+    With u = a*y + b, a trajectory in the band |u| < C moves as
+    u(t) = u * exp(a*t), so y gains u * expm1(a*t) / a and J gains
+    exp(a*t); in a clipped region it translates at sign(u) * C and J is
+    unchanged. For a > 0 a band trajectory leaves the band at
+    log(C / |u|) / a and stays clipped; for a < 0 a clipped trajectory enters
+    the band at (|u| - C) / (|a| * C) and stays in it. u = 0 is a fixed point.
+    """
+    a, b, C = triple
+    if a == 0.0:
+        return y + np.clip(b, -C, C) * tau, J
+    u = a * y + b
+    if a > 0.0:
+        with np.errstate(divide="ignore"):
+            t_band = np.clip((np.log(C) - np.log(np.abs(u))) / a, 0.0, tau)
+        y = y + u * np.expm1(a * t_band) / a + np.sign(u) * C * (tau - t_band)
+    else:
+        t_clip = np.clip((np.abs(u) - C) / (-a * C), 0.0, tau)
+        y = y + np.sign(u) * C * t_clip
+        t_band = tau - t_clip
+        y = y + (a * y + b) * np.expm1(a * t_band) / a
+    return y, J * np.exp(a * t_band)
 
 
-def _split_steps(segments, steps: int):
-    """Distribute an RK4 step budget over schedule segments by length."""
-    total = sum(s1 - s0 for s0, s1, _ in segments)
-    if total <= 0.0:
-        return [0 for _ in segments]
-    return [max(1, int(math.ceil(steps * (s1 - s0) / total))) for s0, s1, _ in segments]
+def _pieces(schedule: ControlSchedule, t0: float, t1: float, backward: bool):
+    """(triple, duration) per schedule segment, in the order the flow visits them.
+
+    The backward flow runs the negated field over the segments in reverse.
+    """
+    if not t0 <= t1:
+        raise ValueError(f"need t0 <= t1, got {t0}, {t1}")
+    pieces = []
+    for s0, s1, f in schedule.segments(t0, t1):
+        a, b, C = f.clipped_affine
+        pieces.append(((-a, -b, C) if backward else (a, b, C), s1 - s0))
+    return pieces[::-1] if backward else pieces
 
 
 def flow_arrays(
@@ -96,143 +113,50 @@ def flow_arrays(
     xs: np.ndarray,
     t0: float,
     t1: float,
-    steps: int,
     backward: bool = False,
 ):
-    """Vectorized flow over many starting points.
+    """Vectorized exact flow over many starting points.
 
     Forward: (Phi(x, t0, t1), JPhi(x, t0, t1)). Backward: the same for the
     inverse map, i.e. feet z = Phi^-1(x) and d z / d x.
     """
-    if not t0 <= t1:
-        raise ValueError(f"need t0 <= t1, got {t0}, {t1}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     y = np.asarray(xs, dtype=float).copy()
     J = np.ones_like(y)
-    if t1 == t0:
-        return y, J
-    segments = list(schedule.segments(t0, t1))
-    counts = _split_steps(segments, steps)
-    if backward:
-        segments = segments[::-1]
-        counts = counts[::-1]
-    for (s0, s1, f), n in zip(segments, counts):
-        span = (s0 - s1) if backward else (s1 - s0)
-        y, J = _rk4_pair(f, y, J, span / n, n)
+    for triple, tau in _pieces(schedule, t0, t1, backward):
+        y, J = _exact_piece(triple, y, J, tau)
     return y, J
 
 
 def integrate_flow(
-    schedule: ControlSchedule, x: float, t0: float, t1: float, steps: int
+    schedule: ControlSchedule, x: float, t0: float, t1: float
 ) -> "tuple[float, float]":
     """Forward characteristic position and Jacobian from a single point."""
-    y, J = flow_arrays(schedule, np.array([x], dtype=float), t0, t1, steps)
+    y, J = flow_arrays(schedule, np.array([x], dtype=float), t0, t1)
     return float(y[0]), float(J[0])
 
 
-def inverse_flow(schedule: ControlSchedule, x: float, t0: float, t1: float, steps: int) -> float:
-    """Backward-integrated foot point satisfying Phi(foot, t0, t1) = x."""
-    y, _ = flow_arrays(schedule, np.array([x], dtype=float), t0, t1, steps, backward=True)
+def inverse_flow(schedule: ControlSchedule, x: float, t0: float, t1: float) -> float:
+    """Backward-flowed foot point satisfying Phi(foot, t0, t1) = x."""
+    y, _ = flow_arrays(schedule, np.array([x], dtype=float), t0, t1, backward=True)
     return float(y[0])
 
 
-def liouville_error(
-    schedule: ControlSchedule, x: float, t0: float, t1: float, steps: int
-) -> float:
-    """|JPhi - exp(integral of div beta along the trajectory)| at the endpoint.
-
-    The exponential of the time-integrated divergence is the exact solution
-    of the variational equation, so the two sides must agree up to
-    integration error.
-    """
-    y = np.array([x], dtype=float)
-    J = np.ones_like(y)
-    L = np.zeros_like(y)
-    segments = list(schedule.segments(t0, t1))
-    for (s0, s1, f), n in zip(segments, _split_steps(segments, steps)):
-        h = (s1 - s0) / n
-        for _ in range(n):
-            # RK4 on the triple (y, J, L) with L' = div beta(y)
-            k1 = f.value(y); l1 = f.derivative(y) * J; g1 = f.derivative(y)
-            y2 = y + 0.5 * h * k1
-            k2 = f.value(y2); l2 = f.derivative(y2) * (J + 0.5 * h * l1); g2 = f.derivative(y2)
-            y3 = y + 0.5 * h * k2
-            k3 = f.value(y3); l3 = f.derivative(y3) * (J + 0.5 * h * l2); g3 = f.derivative(y3)
-            y4 = y + h * k3
-            k4 = f.value(y4); l4 = f.derivative(y4) * (J + h * l3); g4 = f.derivative(y4)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            J = J + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-            L = L + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-    return float(abs(J[0] - np.exp(L[0])))
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """Forward flow over [t0, t1] tabulated at grid nodes.
-
-    Evaluation interpolates linearly between the stored per-node
-    trajectories. The Jacobian must stay positive everywhere: orientation
-    loss means the admissibility bounds were violated at this horizon, which
-    is reported as a hard error instead of being silently absorbed.
-    """
-
-    t0: float
-    t1: float
-    schedule: ControlSchedule
-    nodes: np.ndarray
-    phi: np.ndarray
-    jac: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        schedule: ControlSchedule,
-        t0: float,
-        t1: float,
-        lo: float,
-        hi: float,
-        n_cells: int,
-        steps: int,
-    ) -> "FlowMap":
-        nodes = np.linspace(lo, hi, n_cells + 1)
-        phi, jac = flow_arrays(schedule, nodes, t0, t1, steps)
-        if np.any(jac <= 0.0):
-            raise MassChaseError(
-                "flow Jacobian lost positivity; controls exceed the invertibility regime"
-            )
-        for arr in (nodes, phi, jac):
-            arr.setflags(write=False)
-        return cls(t0, t1, schedule, nodes, phi, jac)
-
-    def phi_at(self, x):
-        return np.interp(x, self.nodes, self.phi)
-
-    def jac_at(self, x):
-        return np.interp(x, self.nodes, self.jac)
-
-
 def _support_envelope(
-    schedule: ControlSchedule, slo: float, shi: float, t0: float, t1: float, steps: int
+    schedule: ControlSchedule, slo: float, shi: float, t0: float, t1: float
 ) -> "tuple[float, float]":
     """Extremes visited by the two support-edge trajectories.
 
     The flow is monotone in one dimension, so the support at any time is the
-    interval between the transported edges; tracking their per-step extremes
-    bounds the whole tube.
+    interval between the transported edges. Within a segment the field is
+    autonomous and each trajectory is monotone in time, so the edges' extremes
+    over the whole tube are among their positions at the segment ends.
     """
     y = np.array([slo, shi], dtype=float)
-    lo_seen, hi_seen = float(y[0]), float(y[1])
-    segments = list(schedule.segments(t0, t1))
-    for (s0, s1, f), n in zip(segments, _split_steps(segments, steps)):
-        if n == 0:
-            continue
-        h = (s1 - s0) / n
-        J = np.ones_like(y)
-        for _ in range(n):
-            y, J = _rk4_pair(f, y, J, h, 1)
-            lo_seen = min(lo_seen, float(y[0]))
-            hi_seen = max(hi_seen, float(y[1]))
+    lo_seen, hi_seen = slo, shi
+    for triple, tau in _pieces(schedule, t0, t1, backward=False):
+        y, _ = _exact_piece(triple, y, np.ones(2), tau)
+        lo_seen = min(lo_seen, float(y[0]))
+        hi_seen = max(hi_seen, float(y[1]))
     return lo_seen, hi_seen
 
 
@@ -241,7 +165,6 @@ def push_forward(
     schedule: ControlSchedule,
     t0: float,
     t1: float,
-    steps: int,
 ) -> DensityGrid:
     """Transport a density along the schedule from t0 to t1.
 
@@ -256,14 +179,14 @@ def push_forward(
     dt = t1 - t0
     if dt < 0:
         raise ValueError("need t0 <= t1")
-    reach_lo, reach_hi = _support_envelope(schedule, supp[0], supp[1], t0, t1, steps)
+    reach_lo, reach_hi = _support_envelope(schedule, supp[0], supp[1], t0, t1)
     if reach_lo < m0.lo - 1e-12 or reach_hi > m0.hi + 1e-12:
         raise TubeOverflow(
             f"transported support [{reach_lo:g}, {reach_hi:g}] "
             f"leaves the grid domain [{m0.lo:g}, {m0.hi:g}]"
         )
     x = m0.x
-    feet, dfeet = flow_arrays(schedule, x, t0, t1, steps, backward=True)
+    feet, dfeet = flow_arrays(schedule, x, t0, t1, backward=True)
     if np.any(dfeet <= 0.0):
         raise MassChaseError(
             "flow Jacobian lost positivity; controls exceed the invertibility regime"
@@ -280,7 +203,6 @@ def solve_continuity(
     schedule: ControlSchedule,
     t0: float,
     snapshot_times: Sequence[float],
-    steps_per_unit: int = 200,
 ) -> "list[DensityGrid]":
     """Density snapshots of the transport Cauchy problem at the given times."""
     times = list(snapshot_times)
@@ -288,14 +210,7 @@ def solve_continuity(
         raise ValueError("snapshot times must be sorted ascending")
     if times and times[0] < t0:
         raise ValueError("snapshot times must not precede t0")
-    out = []
-    for s in times:
-        if s == t0:
-            out.append(m0)
-        else:
-            steps = max(1, int(math.ceil(steps_per_unit * (s - t0))))
-            out.append(push_forward(m0, schedule, t0, s, steps))
-    return out
+    return [m0 if s == t0 else push_forward(m0, schedule, t0, s) for s in times]
 
 
 def snapshots_to_csv(times: Sequence[float], snaps: Sequence[DensityGrid], path) -> None:
@@ -386,7 +301,6 @@ def verify_invariant_set(
     check_times: Sequence[float],
     pairs: "Sequence[tuple[DensityGrid, DensityGrid]] | None" = None,
     ratio_bound: "float | None" = None,
-    steps_per_unit: int = 200,
 ) -> InvariantSetReport:
     """Check support containment and the uniform W1inf bound along evolutions.
 
@@ -400,7 +314,7 @@ def verify_invariant_set(
     entries = []
     mass0 = total_mass(m0)
     for si, sched in enumerate(schedules):
-        snaps = solve_continuity(m0, sched, 0.0, sorted(check_times), steps_per_unit)
+        snaps = solve_continuity(m0, sched, 0.0, sorted(check_times))
         for s, m_s in zip(sorted(check_times), snaps):
             supp = support_interval(m_s)
             t_lo, t_hi = support_tube(tube, 0.0, s)
@@ -419,8 +333,8 @@ def verify_invariant_set(
             if denom == 0.0:
                 continue
             for sched in schedules:
-                n1 = push_forward(m1, sched, 0.0, s_final, max(1, int(200 * s_final)))
-                n2 = push_forward(m2, sched, 0.0, s_final, max(1, int(200 * s_final)))
+                n1 = push_forward(m1, sched, 0.0, s_final)
+                n2 = push_forward(m2, sched, 0.0, s_final)
                 d1 = GradientGrid(m1.lo, m1.hi, n1.values - n2.values)
                 ratios.append(h1_norm(d1) / denom)
     return InvariantSetReport(bound, tuple(entries), tuple(ratios), ratio_bound)

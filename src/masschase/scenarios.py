@@ -11,7 +11,6 @@ that consumers are expected to ignore when diffing.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -302,7 +301,7 @@ def run_example_psi1(
 
 
 def _scatter_evolution(
-    mA0: DensityGrid, c: float, t0: float, T: float, n_steps: int, steps_per_unit: int = 200
+    mA0: DensityGrid, c: float, t0: float, T: float, n_steps: int
 ) -> "list[DensityGrid]":
     """Feedback scatter evolution: joints re-derived from the current support.
 
@@ -318,8 +317,7 @@ def _scatter_evolution(
             raise MassChaseError("scatter evolution lost the support")
         f = Scatter(supp[0], supp[1], c)
         sched = ControlSchedule.constant(f, times[k], times[k + 1])
-        steps = max(1, int(math.ceil(steps_per_unit * (times[k + 1] - times[k]))))
-        mA = push_forward(mA, sched, times[k], times[k + 1], steps)
+        mA = push_forward(mA, sched, times[k], times[k + 1])
         out.append(mA)
     return out
 
@@ -358,7 +356,7 @@ def run_antelope_lion(
 
     def lion_final(b: float) -> DensityGrid:
         sched = ControlSchedule.constant(Constant(b), 0.0, T)
-        return push_forward(mL0, sched, 0.0, T, max(1, int(200 * T)))
+        return push_forward(mL0, sched, 0.0, T)
 
     lion_finals = {f.c: lion_final(f.c) for f in d.fields}
 
@@ -366,7 +364,7 @@ def run_antelope_lion(
     guaranteed_const = np.inf
     for fa in d.fields:
         sched_a = ControlSchedule.constant(fa, 0.0, T)
-        mA_T = push_forward(mA0, sched_a, 0.0, T, max(1, int(200 * T)))
+        mA_T = push_forward(mA0, sched_a, 0.0, T)
         worst = max(psi1(mA_T, mL) for mL in lion_finals.values())
         guaranteed_const = min(guaranteed_const, worst)
 
@@ -490,8 +488,8 @@ def run_viscosity_sweep(
         raise ValueError(f"unknown final-cost kind {fc_kind!r}")
 
     sigma_max = max(max(sigmas), 1e-12)
-    n_t = n_time_steps if n_time_steps is not None else cfl_time_steps(
-        mX, alpha, sigma_max, 0.0, T
+    n_t = n_time_steps if n_time_steps is not None else max(
+        cfl_time_steps(m, sched, sigma_max, 0.0, T) for m, sched in ((mX, alpha), (mY, beta))
     )
 
     # one march: mX rows then mY rows, each at (0, sigmas..., 0); the second

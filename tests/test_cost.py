@@ -176,7 +176,7 @@ class TestPsi3TranslationCovariance:
         sched = ControlSchedule.constant(Constant(h / T), 0.0, T)
         from masschase.flow import push_forward
 
-        mX_shift = push_forward(mX, sched, 0.0, T, 100)
+        mX_shift = push_forward(mX, sched, 0.0, T)
         expected = (mean(mX) + h - mean(mY)) ** 2
         assert psi3(mX_shift, mY) == pytest.approx(expected, abs=1e-5)
 

@@ -17,13 +17,12 @@ from masschase.controls import (
 )
 from masschase.errors import CflViolation, GridMismatch, TubeOverflow
 from masschase.flow import (
-    FlowMap,
     SupportTube,
+    flow_arrays,
     fokker_planck_solve,
     fokker_planck_sweep,
     integrate_flow,
     inverse_flow,
-    liouville_error,
     push_forward,
     solve_continuity,
     support_tube,
@@ -45,21 +44,21 @@ def linear_schedule(lam, clip=10.0, t0=0.0, t1=1.0):
 
 class TestIntegrateFlow:
     def test_zero_field_is_identity(self):
-        phi, jac = integrate_flow(const_schedule(0.0), 0.37, 0.0, 1.0, 10)
+        phi, jac = integrate_flow(const_schedule(0.0), 0.37, 0.0, 1.0)
         assert phi == 0.37 and jac == 1.0
 
     def test_constant_field_translates_rigidly(self):
-        phi, jac = integrate_flow(const_schedule(2.0), 1.0, 0.0, 0.5, 10)
+        phi, jac = integrate_flow(const_schedule(2.0), 1.0, 0.0, 0.5)
         assert phi == pytest.approx(2.0, abs=1e-12)
         assert jac == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_field_matches_exponential(self):
-        phi, jac = integrate_flow(linear_schedule(0.5), 1.0, 0.0, 1.0, 100)
+        phi, jac = integrate_flow(linear_schedule(0.5), 1.0, 0.0, 1.0)
         assert abs(phi - math.exp(0.5)) <= 1e-8
         assert abs(jac - math.exp(0.5)) <= 1e-8
 
     def test_jacobian_is_one_at_zero_span(self):
-        phi, jac = integrate_flow(linear_schedule(0.5), 0.8, 0.3, 0.3, 5)
+        phi, jac = integrate_flow(linear_schedule(0.5), 0.8, 0.3, 0.3)
         assert phi == 0.8 and jac == 1.0
 
     def test_semigroup_property_random_points(self, rng):
@@ -69,53 +68,102 @@ class TestIntegrateFlow:
         for _ in range(100):
             x = rng.uniform(-1.5, 1.5)
             t0, t1, t2 = np.sort(rng.uniform(0.0, 1.0, 3))
-            # kink crossings of the scatter entry limit the step accuracy,
-            # so the budget is generous
-            full, _ = integrate_flow(sched, x, t0, t2, 1024)
-            half, _ = integrate_flow(sched, x, t0, t1, 512)
-            two, _ = integrate_flow(sched, half, t1, t2, 512)
+            full, _ = integrate_flow(sched, x, t0, t2)
+            half, _ = integrate_flow(sched, x, t0, t1)
+            two, _ = integrate_flow(sched, half, t1, t2)
             worst = max(worst, abs(full - two))
-        assert worst <= 1e-7
+        assert worst <= 1e-13
 
-    def test_liouville_identity(self):
-        for sched in (
-            linear_schedule(0.4),
-            const_schedule(0.8),
-            ControlSchedule.constant(Scatter(-0.4, 0.9, 1.0), 0.0, 1.0),
+
+class TestExactFlow:
+    """The closed-form flow against oracles that do not share its formulas."""
+
+    SCATTER = Scatter(-0.4, 0.9, 1.0)
+    CONTRACTING = Affine(-1.5, 0.2, 0.5)
+    MIXED = ControlSchedule(
+        (0.0, 0.3, 0.7, 1.0), (Scatter(-0.5, 1.0, 1.0), Affine(-0.8, 0.1, 0.6), Constant(-0.7))
+    )
+    # shifted off the fields' kinks, where the flow map's slope has a corner
+    # and a central difference is only first-order accurate
+    XS = np.linspace(-1.7, 2.1, 77) + 0.0123
+
+    @pytest.mark.parametrize("backward", (False, True), ids=("forward", "backward"))
+    @pytest.mark.parametrize(
+        "sched, t0, t1",
+        [
+            (ControlSchedule.constant(SCATTER, 0.0, 1.0), 0.0, 1.0),
+            (ControlSchedule.constant(CONTRACTING, 0.0, 1.0), 0.0, 1.0),
+            (MIXED, 0.1, 0.9),
+        ],
+        ids=("scatter", "contracting_affine", "three_segments"),
+    )
+    def test_jacobian_matches_central_difference(self, sched, t0, t1, backward):
+        h = 1e-6
+        y, J = flow_arrays(sched, self.XS, t0, t1, backward)
+        yp, _ = flow_arrays(sched, self.XS + h, t0, t1, backward)
+        ym, _ = flow_arrays(sched, self.XS - h, t0, t1, backward)
+        fd = (yp - ym) / (2.0 * h)
+        assert np.all(np.abs(J - fd) <= 1e-6 * np.abs(J))
+        assert not np.all(J == 1.0)
+
+    def test_cases_cross_their_kinks(self):
+        # some Scatter trajectories leave the band, some contracting Affine
+        # trajectories enter it, so the kink times are exercised
+        f = self.SCATTER
+        y, _ = flow_arrays(ControlSchedule.constant(f, 0.0, 1.0), self.XS, 0.0, 1.0)
+        assert np.any((f.derivative(self.XS) != 0.0) & (f.derivative(y) == 0.0))
+        g = self.CONTRACTING
+        y, _ = flow_arrays(ControlSchedule.constant(g, 0.0, 1.0), self.XS, 0.0, 1.0)
+        assert np.any((g.derivative(self.XS) == 0.0) & (g.derivative(y) != 0.0))
+
+    @pytest.mark.parametrize(
+        "f", (SCATTER, CONTRACTING, Affine(0.9, -0.3, 0.8), Constant(0.6)),
+        ids=lambda f: f.describe(),
+    )
+    def test_jacobian_is_the_speed_ratio_on_one_piece(self, f):
+        # for an autonomous 1-D field, dPhi/dx = v(Phi(x)) / v(x) wherever v(x) != 0
+        v0 = f.value(self.XS)
+        xs = self.XS[np.abs(v0) > 1e-3]
+        y, J = flow_arrays(ControlSchedule.constant(f, 0.0, 0.8), xs, 0.0, 0.8)
+        assert np.allclose(J, f.value(y) / f.value(xs), rtol=1e-12, atol=0.0)
+
+    def test_inverse_round_trip(self):
+        for sched, t0, t1 in (
+            (ControlSchedule.constant(self.SCATTER, 0.0, 1.0), 0.0, 1.0),
+            (ControlSchedule.constant(self.CONTRACTING, 0.0, 1.0), 0.0, 1.0),
+            (self.MIXED, 0.1, 0.9),
         ):
-            assert liouville_error(sched, 0.3, 0.0, 1.0, 200) <= 1e-6
+            for x in self.XS:
+                phi, _ = integrate_flow(sched, inverse_flow(sched, x, t0, t1), t0, t1)
+                assert abs(phi - x) <= 1e-14
+
+    def test_fixed_point_stays_put(self):
+        sched = ControlSchedule.constant(Affine(0.5, -0.25, 1.0), 0.0, 1.0)
+        assert integrate_flow(sched, 0.5, 0.0, 1.0) == (0.5, math.exp(0.5))
+        assert inverse_flow(sched, 0.5, 0.0, 1.0) == 0.5
 
 
 class TestInverseFlow:
     def test_zero_field(self):
-        assert inverse_flow(const_schedule(0.0), 0.5, 0.0, 1.0, 10) == 0.5
+        assert inverse_flow(const_schedule(0.0), 0.5, 0.0, 1.0) == 0.5
 
     def test_constant_field(self):
-        z = inverse_flow(const_schedule(2.0), 1.0, 0.0, 0.5, 10)
+        z = inverse_flow(const_schedule(2.0), 1.0, 0.0, 0.5)
         assert z == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip_linear_field(self):
         sched = linear_schedule(0.5)
         for x in (-0.8, 0.1, 1.3):
-            z = inverse_flow(sched, x, 0.0, 1.0, 100)
-            phi, _ = integrate_flow(sched, z, 0.0, 1.0, 100)
+            z = inverse_flow(sched, x, 0.0, 1.0)
+            phi, _ = integrate_flow(sched, z, 0.0, 1.0)
             assert abs(phi - x) <= 1e-8
-
-
-class TestFlowMap:
-    def test_identity_and_interpolation(self):
-        fm = FlowMap.build(linear_schedule(0.5), 0.0, 0.0, -1.0, 1.0, 64, 10)
-        assert fm.jac_at(0.3) == 1.0
-        fm2 = FlowMap.build(linear_schedule(0.5), 0.0, 1.0, -1.0, 1.0, 256, 50)
-        assert fm2.phi_at(0.5) == pytest.approx(0.5 * math.exp(0.5), abs=1e-5)
-        assert np.all(fm2.jac > 0)
 
 
 class TestPushForward:
     def test_translation_shifts_the_bump(self):
         m0 = make_bump(-2.0, 3.0, 512, 0.0, 0.5)
         sched = const_schedule(1.0, 0.0, 0.5)
-        out = push_forward(m0, sched, 0.0, 0.5, 50)
+        out = push_forward(m0, sched, 0.0, 0.5)
         shifted = sample_at(m0, m0.x - 0.5)
         l1 = np.sum(np.abs(out.values - shifted)) * m0.dx
         assert l1 <= 2.0 * m0.dx * lp_norm(m0, "W1inf")
@@ -127,7 +175,7 @@ class TestPushForward:
         span = 0.5
         lo, hi, n = -2.0, 3.0, 1024
         m0 = smooth_bump(lo, hi, n, 0.3, 1.0)
-        out = push_forward(m0, linear_schedule(lam, t1=span), 0.0, span, 100)
+        out = push_forward(m0, linear_schedule(lam, t1=span), 0.0, span)
         k = math.exp(-lam * span)
         x = m0.x
         z = np.linspace(-1.0, 2.0, 400_001)
@@ -141,13 +189,12 @@ class TestPushForward:
         # resolutions per case come from the measured interpolation-transfer
         # error of the sampled push-forward
         cases = [
-            (smooth_bump(-2.0, 3.0, 512, 0.2, 0.8), const_schedule(0.731, t1=0.5), 0.5, 80),
-            (smooth_bump(-2.0, 3.0, 1024, 0.3, 1.0), linear_schedule(0.5, t1=0.5), 0.5, 100),
+            (smooth_bump(-2.0, 3.0, 512, 0.2, 0.8), const_schedule(0.731, t1=0.5), 0.5),
+            (smooth_bump(-2.0, 3.0, 1024, 0.3, 1.0), linear_schedule(0.5, t1=0.5), 0.5),
             (
                 smooth_bump(-2.0, 3.0, 2048, 0.3, 0.8),
                 ControlSchedule.constant(Affine(0.4, 0.1, 1.0), 0.0, 0.5),
                 0.5,
-                100,
             ),
             (
                 smooth_bump(-2.0, 3.0, 2048, 0.3, 0.8),
@@ -159,11 +206,10 @@ class TestPushForward:
                     ),
                 ),
                 0.5,
-                100,
             ),
         ]
-        for m0, sched, t1, steps in cases:
-            out = push_forward(m0, sched, 0.0, t1, steps)
+        for m0, sched, t1 in cases:
+            out = push_forward(m0, sched, 0.0, t1)
             drift = abs(total_mass(out) - total_mass(m0)) / total_mass(m0)
             assert drift <= 1e-8, f"mass drift {drift:.2e} for {sched.fields}"
 
@@ -173,19 +219,26 @@ class TestPushForward:
         for _ in range(10):
             idx = rng.integers(0, 4, size=4)
             sched = schedule_from_sequence((0.0, 0.25, 0.5, 0.75, 1.0), tuple(idx), d)
-            out = push_forward(m0, sched, 0.0, 1.0, 100)
+            out = push_forward(m0, sched, 0.0, 1.0)
             assert np.all(out.values >= 0.0)
 
     def test_tube_overflow_raises(self):
         m0 = make_bump(-1.0, 1.0, 128, 0.0, 0.6)
         with pytest.raises(TubeOverflow):
-            push_forward(m0, const_schedule(1.0), 0.0, 0.8, 20)
+            push_forward(m0, const_schedule(1.0), 0.0, 0.8)
+
+    def test_tube_overflow_on_an_excursion_that_returns(self):
+        # the support leaves the domain at the breakpoint and is back at the end
+        m0 = make_bump(-1.0, 1.0, 128, 0.0, 0.4)
+        sched = ControlSchedule((0.0, 0.7, 1.4), (Constant(1.0), Constant(-1.0)))
+        with pytest.raises(TubeOverflow):
+            push_forward(m0, sched, 0.0, 1.4)
 
 
 class TestSolveContinuity:
     def test_initial_snapshot_is_exact(self):
         m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
-        snaps = solve_continuity(m0, const_schedule(1.0), 0.0, [0.0, 0.5], 100)
+        snaps = solve_continuity(m0, const_schedule(1.0), 0.0, [0.0, 0.5])
         assert snaps[0] is m0
 
     def test_constant_field_semigroup(self):
@@ -195,8 +248,8 @@ class TestSolveContinuity:
         dx = (hi - lo) / n
         s1, s2 = 32 * dx, 64 * dx  # exact node shifts at speed 1
         sched = const_schedule(1.0, 0.0, 1.0)
-        snaps = solve_continuity(m0, sched, 0.0, [s1, s2], 200)
-        re_pushed = push_forward(snaps[0], sched, s1, s2, 100)
+        snaps = solve_continuity(m0, sched, 0.0, [s1, s2])
+        re_pushed = push_forward(snaps[0], sched, s1, s2)
         l1 = np.sum(np.abs(re_pushed.values - snaps[1].values)) * dx
         assert l1 <= 2e-8
 
@@ -206,7 +259,7 @@ class TestSolveContinuity:
         m0 = smooth_bump(lo, hi, n, 0.3, 1.0)
         sched = linear_schedule(lam, t1=0.5)
         times = [0.2, 0.4]
-        snaps = solve_continuity(m0, sched, 0.0, times, steps_per_unit=250)
+        snaps = solve_continuity(m0, sched, 0.0, times)
         z = np.linspace(-1.0, 2.0, 400_001)
         znorm = np.trapezoid(bump_profile(z, 0.3, 1.0, 4), z)
         for s, snap in zip(times, snaps):
@@ -327,7 +380,7 @@ class TestFokkerPlanck:
         sched = const_schedule(c, 0.0, T)
         n_t = int(np.ceil(T * c / (0.8 * m0.dx)))
         out_fp = fokker_planck_solve(m0, sched, 0.0, 0.0, T, n_t)
-        out_pf = push_forward(m0, sched, 0.0, T, 60)
+        out_pf = push_forward(m0, sched, 0.0, T)
         l1 = np.sum(np.abs(out_fp.values - out_pf.values)) * m0.dx
         # first-order upwind against exact characteristics: O(dx) gap
         assert l1 <= 8.0 * m0.dx
@@ -354,7 +407,7 @@ class TestFokkerPlanck:
         m0 = make_bump(lo, hi, n, -0.3, 0.5)
         c, T = 0.5, 0.4
         sched = const_schedule(c, 0.0, T)
-        ref = push_forward(m0, sched, 0.0, T, 100)
+        ref = push_forward(m0, sched, 0.0, T)
         dists = []
         for sigma in (0.1, 0.03, 0.01, 0.003):
             n_t = int(np.ceil(T * max(sigma / (0.4 * m0.dx**2), c / (0.8 * m0.dx))))

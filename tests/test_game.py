@@ -32,6 +32,7 @@ from masschase.game import (
     brute_force_value,
     dpp_residual,
     extract_strategy,
+    simulate_play,
     solve_values,
     translate_density,
 )
@@ -80,13 +81,13 @@ FINAL_COSTS = (Overlap(), MeanDiffSquared(), WindowDiffSquared(0.4))
 RUNNING_COSTS = (ZeroRunningCost(), ControlEffort(0.3, 0.7))
 
 
-def _spec(gap, radius, n_steps, fc, rc, dictA=None, dictB=None):
-    """Two equal bumps ``gap`` apart on 256 cells over [-3, 3], horizon 0.5."""
+def _spec(gap, radius, n_steps, fc, rc, dictA=None, dictB=None, n_cells=256):
+    """Two equal bumps ``gap`` apart on ``n_cells`` cells over [-3, 3], horizon 0.5."""
     d = standard_dictionary(1.0)
     return GameSpec(
         T=0.5, t0=0.0, n_steps=n_steps,
-        mX0=make_bump(-3.0, 3.0, 256, -gap / 2, radius),
-        mY0=make_bump(-3.0, 3.0, 256, gap / 2, radius),
+        mX0=make_bump(-3.0, 3.0, n_cells, -gap / 2, radius),
+        mY0=make_bump(-3.0, 3.0, n_cells, gap / 2, radius),
         dictA=dictA or d, dictB=dictB or d, rc=rc, fc=fc,
     )
 
@@ -176,6 +177,39 @@ class TestSolveValues:
                            valid=np.ones(W.shape, dtype=bool))
         with pytest.raises(BoxOverflow):
             dpp_residual(table, spec, 0)
+
+
+class TestSimulatePlay:
+    """The realized cost of the played schedules against the table value."""
+
+    @pytest.mark.parametrize("gap", (-0.5, 0.0, 0.6))
+    @pytest.mark.parametrize("fc", FINAL_COSTS[:2], ids=lambda fc: type(fc).__name__)
+    def test_zero_running_cost_game_realizes_the_table_value(self, fc, gap):
+        spec = _spec(gap, 0.5, 4, fc, ZeroRunningCost())
+        play = simulate_play(spec, solve_values(spec))
+        assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "fc, gap", [(MeanDiffSquared(), 0.6), (Overlap(), 0.0), (Overlap(), -0.2)],
+        ids=("MeanDiffSquared", "Overlap-0.0", "Overlap-0.2"),
+    )
+    def test_effort_game_with_switching_controls_realizes_the_table_value(self, fc, gap):
+        # 384 cells put every advance c * dt = 0.125 on whole density cells,
+        # so the step-by-step transport of the realized path is exact and
+        # only the running-cost integral can differ from the table
+        spec = _spec(gap, 0.5, 4, fc, ControlEffort(0.3, 0.7), n_cells=384)
+        play = simulate_play(spec, solve_values(spec))
+        assert len(set(play.a_indices)) > 1 or len(set(play.b_indices)) > 1
+        assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
+
+    def test_bilinear_effort_game_realizes_the_table_value(self):
+        # the +-0.4 speeds make the table bilinear; the played full-speed
+        # advances are off the density nodes, so the realized path resamples
+        # at every step and agreement is to that resampling error
+        d = _speeds(-1.0, -0.4, 0.0, 0.4, 1.0)
+        spec = _spec(1.2, 0.5, 3, MeanDiffSquared(), ControlEffort(0.3, 0.7), d, d)
+        play = simulate_play(spec, solve_values(spec))
+        assert play.realized_J == pytest.approx(play.table_value, rel=1e-5)
 
 
 class TestNoisyGame:

@@ -81,7 +81,7 @@ class TestTotalMass:
     def test_translation_preserves_mass(self):
         m0 = smooth_bump(-2.0, 3.0, 512, 0.2, 0.8)
         sched = ControlSchedule.constant(Constant(0.731), 0.0, 0.4)
-        m1 = push_forward(m0, sched, 0.0, 0.4, 80)
+        m1 = push_forward(m0, sched, 0.0, 0.4)
         assert abs(total_mass(m1) - total_mass(m0)) <= 1e-8 * total_mass(m0)
 
     def test_simpson_exact_for_quadratic_data(self):
