@@ -6,17 +6,18 @@ the squared difference of the means themselves. The window cost integrates
 between mean-centered limits, following the defining formula (the overloaded
 bar notation there denotes means, not densities). Running costs are either
 identically zero or a control-effort quadratic, which is the minimal concrete
-choice that actually depends on the controls.
+choice that actually depends on the controls. Both depend on the control pair
+alone, never on the densities or the time, and are evaluated in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .controls import ControlField, ControlSchedule
+from .controls import ControlDictionary, ControlField, ControlSchedule
 from .flow import fokker_planck_solve, cfl_time_steps, push_forward
 from .grid import (
     DensityGrid,
@@ -25,6 +26,9 @@ from .grid import (
     simpson_weights,
     window_integral,
 )
+
+if TYPE_CHECKING:
+    from .game import GameSpec
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,7 @@ class ZeroRunningCost:
 
 @dataclass(frozen=True)
 class ControlEffort:
-    """Quadratic control effort: wX * ||a||^2 + wY * ||b||^2 over the tube.
-
-    Depends on the controls only, not on the densities or the time, so its
-    continuity modulus in the state variables is identically zero.
-    """
+    """Quadratic control effort: wX * ||a||^2 + wY * ||b||^2 over the tube."""
 
     wX: float
     wY: float
@@ -117,31 +117,34 @@ def final_cost(fc: FinalCost, mX: DensityGrid, mY: DensityGrid) -> float:
     raise TypeError(f"unknown final cost {fc!r}")
 
 
-def _field_l2sq(f: ControlField, tube: "tuple[float, float]", n_quad: int = 200) -> float:
+def _field_l2sq(f: ControlField, tube: "tuple[float, float]") -> float:
+    """Exact integral of f(x)^2 over the tube.
+
+    f is clip(u, -C, C) with u = a*x + b: it contributes C^2 per unit length
+    where clipped, and on the band [xl, xr] where |u| < C the integral of u^2,
+    (u(xl)^2 + u(xl)*u(xr) + u(xr)^2) * (xr - xl) / 3.
+    """
     lo, hi = tube
     if hi <= lo:
         return 0.0
-    if n_quad % 2 != 0:
-        n_quad += 1
-    xs = np.linspace(lo, hi, n_quad + 1)
-    v = f.value(xs)
-    return float(np.dot(simpson_weights(n_quad), v * v) * (hi - lo) / n_quad)
+    a, b, C = f.clipped_affine
+    if a == 0.0:
+        return min(b * b, C * C) * (hi - lo)
+    xl, xr = sorted(((-C - b) / a, (C - b) / a))
+    xl, xr = max(xl, lo), min(xr, hi)
+    if xr <= xl:
+        return C * C * (hi - lo)
+    ul, ur = a * xl + b, a * xr + b
+    return C * C * ((hi - lo) - (xr - xl)) + (ul * ul + ul * ur + ur * ur) * (xr - xl) / 3.0
 
 
 def running_cost(
     rc: RunningCost,
-    mX: DensityGrid,
-    mY: DensityGrid,
-    t: float,
     a: ControlField,
     b: ControlField,
     tube: "tuple[float, float]",
 ) -> float:
-    """Evaluate the running cost at one state/control configuration.
-
-    Both built-in kinds ignore the densities and the time; the full state is
-    accepted anyway so richer costs can slot in behind the same call.
-    """
+    """Running cost of the control pair (a, b) over the tube."""
     if isinstance(rc, ZeroRunningCost):
         return 0.0
     if isinstance(rc, ControlEffort):
@@ -149,12 +152,14 @@ def running_cost(
     raise TypeError(f"unknown running cost {rc!r}")
 
 
-def running_cost_modulus(rc: RunningCost) -> float:
-    """Continuity modulus of the running cost in the density/time arguments.
-
-    Zero for both built-in kinds: neither depends on the state.
-    """
-    return 0.0
+def running_cost_matrix(
+    rc: RunningCost,
+    dictA: ControlDictionary,
+    dictB: ControlDictionary,
+    tube: "tuple[float, float]",
+) -> np.ndarray:
+    """Running cost of every control pair, indexed [b, a]."""
+    return np.array([[running_cost(rc, a, b, tube) for a in dictA.fields] for b in dictB.fields])
 
 
 @dataclass(frozen=True)
@@ -179,51 +184,26 @@ class CostModulus:
         return [(e, self.envelope(e)) for e in eps_sorted]
 
 
-def evaluate_J(
-    spec: "GameSpec",
-    alpha: ControlSchedule,
-    beta: ControlSchedule,
-    n_time_samples: int = 16,
-) -> float:
+def evaluate_J(spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule) -> float:
     """Total cost of a pair of schedules: integrated running cost plus final cost.
 
-    The time integral uses the trapezoid rule on n_time_samples + 1 sample
-    times, with both ends of each interval evaluated under the controls
-    active inside it, so a control switch at a sample time is charged to the
-    interval it starts; for the built-in state-free costs the integral is
-    then exact whenever the schedules switch only at sample times. With a
-    zero running cost the integral vanishes and the final densities come
-    from a single transport solve over the whole horizon, so the result does
-    not depend on n_time_samples at all.
+    Both schedules are piecewise constant in time and the running cost
+    depends on the controls alone, so its integral is an exact sum over the
+    merged breakpoints of the two schedules, each piece charged to the fields
+    active inside it. Each density is transported once over [t0, T].
     """
-    from .game import GameSpec  # circular at import time only
-
-    if n_time_samples < 1:
-        raise ValueError("n_time_samples must be >= 1")
     t0, T = spec.t0, spec.T
-    tube = (spec.mX0.lo, spec.mX0.hi)
+    inner = {s for s in alpha.breakpoints + beta.breakpoints if t0 < s < T}
+    cuts = [t0, *sorted(inner), T]
+    integral = sum(
+        (s1 - s0) * running_cost(spec.rc, alpha.field_at(s0), beta.field_at(s0), spec.tube)
+        for s0, s1 in zip(cuts, cuts[1:])
+    )
 
-    def evolve(m0: DensityGrid, sched: ControlSchedule, s0: float, s1: float) -> DensityGrid:
-        if s1 == s0:
-            return m0
+    def evolve(m0: DensityGrid, sched: ControlSchedule) -> DensityGrid:
         if spec.sigma > 0:
-            n = cfl_time_steps(m0, sched, spec.sigma, s0, s1)
-            return fokker_planck_solve(m0, sched, spec.sigma, s0, s1, n)
-        return push_forward(m0, sched, s0, s1)
+            n = cfl_time_steps(m0, sched, spec.sigma, t0, T)
+            return fokker_planck_solve(m0, sched, spec.sigma, t0, T, n)
+        return push_forward(m0, sched, t0, T)
 
-    integral = 0.0
-    if not isinstance(spec.rc, ZeroRunningCost):
-        times = np.linspace(t0, T, n_time_samples + 1)
-        mX_s, mY_s = spec.mX0, spec.mY0
-        for s0, s1 in zip(times[:-1], times[1:]):
-            mid = 0.5 * (s0 + s1)
-            a, b = alpha.field_at(mid), beta.field_at(mid)
-            ell0 = running_cost(spec.rc, mX_s, mY_s, s0, a, b, tube)
-            mX_s, mY_s = evolve(mX_s, alpha, s0, s1), evolve(mY_s, beta, s0, s1)
-            ell1 = running_cost(spec.rc, mX_s, mY_s, s1, a, b, tube)
-            integral += 0.5 * (s1 - s0) * (ell0 + ell1)
-        mX_T, mY_T = mX_s, mY_s
-    else:
-        mX_T = evolve(spec.mX0, alpha, t0, T)
-        mY_T = evolve(spec.mY0, beta, t0, T)
-    return integral + final_cost(spec.fc, mX_T, mY_T)
+    return integral + final_cost(spec.fc, evolve(spec.mX0, alpha), evolve(spec.mY0, beta))

@@ -23,10 +23,10 @@ The safe region of a level is a rectangle, a centred index range per axis.
 One step kernel serves the solver, the strategy extraction and the DPP
 residual: it builds each control pair's candidate only on that rectangle,
 reading the advanced next level through slice views shifted by whole nodes
-and blending them bilinearly. Both built-in running costs depend on the
-controls alone, not on the densities or the time, so one matrix of running
-costs per control pair serves every cell and level. The terminal level
-translates each initial density for all offsets of its axis in one pass.
+and blending them bilinearly. Running costs depend on the controls alone, so
+one ``cost.running_cost_matrix`` serves every cell and level. The terminal
+level translates each initial density for all offsets of its axis in one
+pass.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from .cost import (
     MeanDiffSquared,
     Overlap,
     RunningCost,
+    evaluate_J,
     final_cost,
     running_cost,
+    running_cost_matrix,
 )
 from .errors import BoxOverflow, NotReduced, TooDeep, TubeOverflow, ZeroMass
 from .flow import cfl_time_steps, fokker_planck_sweep
@@ -89,6 +91,11 @@ class GameSpec:
     def level_times(self) -> np.ndarray:
         return np.linspace(self.t0, self.T, self.n_steps + 1)
 
+    @property
+    def tube(self) -> "tuple[float, float]":
+        """The interval the running cost integrates over: mX0's grid domain."""
+        return self.mX0.lo, self.mX0.hi
+
 
 def _translated(m: DensityGrid, offsets: np.ndarray) -> np.ndarray:
     """Node values of m rigidly translated by each offset, one row per offset.
@@ -106,6 +113,8 @@ def _translated(m: DensityGrid, offsets: np.ndarray) -> np.ndarray:
                 )
     x = m.x
     v = np.interp(x[None, :] - offsets[:, None], x, m.values, left=0.0, right=0.0)
+    # interpolating between a positive node and a zero one can round below 0
+    np.maximum(v, 0.0, out=v)
     v[:, 0] = 0.0
     v[:, -1] = 0.0
     return v
@@ -329,19 +338,6 @@ def _split(shift: float, dh: float, n: int) -> "tuple[int, float]":
     return i, f
 
 
-def _running_costs(spec: GameSpec) -> np.ndarray:
-    """Running cost of every control pair, indexed [b, a].
-
-    Both built-in kinds ignore the densities and the time, so the entries,
-    evaluated once at the initial pair and t0, serve every cell and level.
-    """
-    tube = (spec.mX0.lo, spec.mX0.hi)
-    return np.array([
-        [running_cost(spec.rc, spec.mX0, spec.mY0, spec.t0, a, b, tube) for a in spec.dictA.fields]
-        for b in spec.dictB.fields
-    ])
-
-
 def _step_candidates(
     spec: GameSpec,
     ell: np.ndarray,
@@ -355,9 +351,8 @@ def _step_candidates(
     ``rect`` holds the row and column ranges of the cells valid at this
     level. Each advance reads slice views of ``next_level`` shifted by whole
     nodes and blends them bilinearly, skipping corners of zero weight. A view
-    that would leave the box raises BoxOverflow. The running cost ``ell``
-    comes from ``_running_costs``: it is state- and time-independent, so one
-    matrix serves every cell of the rectangle.
+    that would leave the box raises BoxOverflow. The running-cost matrix
+    ``ell`` is state- and time-independent, so it serves every cell.
     """
     dt = spec.dt
     rows, cols = rect
@@ -447,7 +442,7 @@ def solve_values(
     upper[-1] = terminal
     valid[-1] = True
 
-    ell = _running_costs(spec)
+    ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
     for k in range(spec.n_steps - 1, -1, -1):
         steps_left = spec.n_steps - k
         rect = ax.valid_range(steps_left), ay.valid_range(steps_left)
@@ -475,7 +470,7 @@ def extract_strategy(spec: GameSpec, table: ValueTable) -> FeedbackStrategy:
     shape = table.lower.shape[1:]
     a_idx = np.full((L,) + shape, -1, dtype=int)
     b_idx = np.full((L,) + shape, -1, dtype=int)
-    ell = _running_costs(spec)
+    ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
     for k in range(L):
         rect = _valid_rect(table.valid[k])
         cands = _step_candidates(spec, ell, table.lower[k + 1], table.dh_x, table.dh_y, rect)
@@ -496,9 +491,8 @@ def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:
     if not 0 <= k < spec.n_steps:
         raise ValueError(f"level k must be in [0, {spec.n_steps}), got {k}")
     rect = _valid_rect(table.valid[k])
-    cands = _step_candidates(
-        spec, _running_costs(spec), table.lower[k + 1], table.dh_x, table.dh_y, rect
-    )
+    ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
+    cands = _step_candidates(spec, ell, table.lower[k + 1], table.dh_x, table.dh_y, rect)
     if cands.size == 0:
         return 0.0
     recomputed = np.max(np.min(cands, axis=1), axis=0)
@@ -519,7 +513,6 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
 
     mX, mY = _prediffused(spec)
     dt = spec.dt
-    tube = (spec.mX0.lo, spec.mX0.hi)
     cache: dict = {}
 
     def leaf(hX: float, hY: float) -> float:
@@ -528,8 +521,8 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
             cache[key] = final_cost(spec.fc, translate_density(mX, hX), translate_density(mY, hY))
         return cache[key]
 
-    def ell(t: float, ai: int, bi: int) -> float:
-        return running_cost(spec.rc, spec.mX0, spec.mY0, t, spec.dictA[ai], spec.dictB[bi], tube)
+    def ell(ai: int, bi: int) -> float:
+        return running_cost(spec.rc, spec.dictA[ai], spec.dictB[bi], spec.tube)
 
     def rec(k: int, hX: float, hY: float, lower: bool) -> float:
         if k == spec.n_steps:
@@ -537,14 +530,13 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
         key = (k, hX, hY, lower)
         if key in cache:
             return cache[key]
-        t_k = spec.level_times[k]
         if lower:
             outer = -np.inf
             for bi in range(len(spec.dictB)):
                 inner = np.inf
                 for ai in range(len(spec.dictA)):
                     hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec, dt)
-                    inner = min(inner, dt * ell(t_k, ai, bi) + rec(k + 1, hX2, hY2, True))
+                    inner = min(inner, dt * ell(ai, bi) + rec(k + 1, hX2, hY2, True))
                 outer = max(outer, inner)
         else:
             outer = np.inf
@@ -552,7 +544,7 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
                 inner = -np.inf
                 for bi in range(len(spec.dictB)):
                     hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec, dt)
-                    inner = max(inner, dt * ell(t_k, ai, bi) + rec(k + 1, hX2, hY2, False))
+                    inner = max(inner, dt * ell(ai, bi) + rec(k + 1, hX2, hY2, False))
                 outer = min(outer, inner)
         cache[key] = float(outer)
         return cache[key]
@@ -580,7 +572,7 @@ def simulate_play(spec: GameSpec, table: ValueTable) -> PlayResult:
     if not spec.reduced:
         raise NotReduced("simulate_play requires a reduced game")
     dt = spec.dt
-    ell = _running_costs(spec)
+    ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
     hX, hY = 0.0, 0.0
     offsets = [(hX, hY)]
     a_seq: "list[int]" = []
@@ -605,9 +597,7 @@ def simulate_play(spec: GameSpec, table: ValueTable) -> PlayResult:
     times = tuple(spec.level_times)
     alpha = schedule_from_sequence(times, a_seq, spec.dictA)
     beta = schedule_from_sequence(times, b_seq, spec.dictB)
-    from .cost import evaluate_J
-
-    realized = evaluate_J(spec, alpha, beta, n_time_samples=max(1, spec.n_steps))
+    realized = evaluate_J(spec, alpha, beta)
     return PlayResult(
         offsets=tuple(offsets),
         a_indices=tuple(a_seq),

@@ -51,38 +51,12 @@ def simpson_sbp_diff(values: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
-def centered_diff(values: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative of node data: centered in the interior, one-sided at the ends."""
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    d[0] = (values[1] - values[0]) / dx
-    d[-1] = (values[-1] - values[-2]) / dx
-    return d
-
-
-def _validate_layout(lo: float, hi: float, values: np.ndarray) -> None:
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("grid endpoints must be finite")
-    if hi <= lo:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    n_cells = values.size - 1
-    if n_cells < 2 or n_cells % 2 != 0:
-        raise ValueError(f"n_cells must be even and >= 2, got {n_cells}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("grid values must be finite")
-
-
 @dataclass(frozen=True)
-class DensityGrid:
-    """A nonnegative mass density sampled on a uniform node grid.
+class GradientGrid:
+    """A signed function sampled at the ``n_cells + 1`` nodes of a uniform grid.
 
-    Parameters
-    ----------
-    lo, hi : float
-        Domain endpoints. The domain is expected to contain the full support
-        tube of any evolution applied to this density.
-    values : ndarray of shape (n_cells + 1,)
-        Nonnegative node samples; both endpoint samples must be exactly 0.
+    Used for Frechet-differential representers paired against densities; the
+    values may take any sign and need not vanish at the endpoints.
     """
 
     lo: float
@@ -90,12 +64,16 @@ class DensityGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError("grid endpoints must be finite")
+        if self.hi <= self.lo:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        _validate_layout(self.lo, self.hi, v)
-        if np.any(v < 0.0):
-            raise ValueError("density values must be nonnegative")
-        if v[0] != 0.0 or v[-1] != 0.0:
-            raise ValueError("density must vanish at both endpoint nodes (compact support)")
+        n_cells = v.size - 1
+        if n_cells < 2 or n_cells % 2 != 0:
+            raise ValueError(f"n_cells must be even and >= 2, got {n_cells}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("grid values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -112,12 +90,34 @@ class DensityGrid:
         """Node coordinates."""
         return np.linspace(self.lo, self.hi, self.values.size)
 
-    def same_grid_as(self, other: "DensityGrid | GradientGrid") -> bool:
+    def same_grid_as(self, other: GradientGrid) -> bool:
         return (
             self.lo == other.lo
             and self.hi == other.hi
             and self.values.size == other.values.size
         )
+
+
+@dataclass(frozen=True)
+class DensityGrid(GradientGrid):
+    """A nonnegative mass density sampled on a uniform node grid.
+
+    Parameters
+    ----------
+    lo, hi : float
+        Domain endpoints. The domain is expected to contain the full support
+        tube of any evolution applied to this density.
+    values : ndarray of shape (n_cells + 1,)
+        Nonnegative node samples; both endpoint samples must be exactly 0.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        v = self.values
+        if np.any(v < 0.0):
+            raise ValueError("density values must be nonnegative")
+        if v[0] != 0.0 or v[-1] != 0.0:
+            raise ValueError("density must vanish at both endpoint nodes (compact support)")
 
     def with_values(self, values: np.ndarray) -> "DensityGrid":
         return DensityGrid(self.lo, self.hi, values)
@@ -146,44 +146,6 @@ class DensityGrid:
         return m
 
 
-@dataclass(frozen=True)
-class GradientGrid:
-    """A signed grid function with the same layout as :class:`DensityGrid`.
-
-    Used for Frechet-differential representers paired against densities; the
-    values may take any sign and need not vanish at the endpoints.
-    """
-
-    lo: float
-    hi: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        _validate_layout(self.lo, self.hi, v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_cells(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def dx(self) -> float:
-        return (self.hi - self.lo) / self.n_cells
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.values.size)
-
-    def same_grid_as(self, other: "DensityGrid | GradientGrid") -> bool:
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.values.size == other.values.size
-        )
-
-
 def total_mass(m: DensityGrid) -> float:
     """Total mass by composite Simpson quadrature; nonnegative."""
     return float(np.dot(simpson_weights(m.n_cells), m.values) * m.dx)
@@ -201,11 +163,11 @@ def mean(m: DensityGrid) -> float:
     return float(np.dot(simpson_weights(m.n_cells), m.x * m.values) * m.dx)
 
 
-def lp_norm(m: "DensityGrid | GradientGrid", which: str) -> float:
+def lp_norm(m: GradientGrid, which: str) -> float:
     """Norm of the node data: ``L2``, ``H1_seminorm``, or ``W1inf``.
 
-    The derivative entering the H1 seminorm and the W1inf norm is the
-    centered difference of node values (one-sided at the endpoints). W1inf is
+    The derivative entering the H1 seminorm and the W1inf norm is
+    :func:`simpson_sbp_diff`, the partner of the Simpson norm. W1inf is
     ``max |values| + max |derivative|``.
     """
     if which not in NORM_KINDS:
@@ -213,18 +175,18 @@ def lp_norm(m: "DensityGrid | GradientGrid", which: str) -> float:
     v = m.values
     if which == "L2":
         return float(np.sqrt(np.dot(simpson_weights(m.n_cells), v * v) * m.dx))
-    d = centered_diff(v, m.dx)
+    d = simpson_sbp_diff(v, m.dx)
     if which == "H1_seminorm":
         return float(np.sqrt(np.dot(simpson_weights(m.n_cells), d * d) * m.dx))
     return float(np.max(np.abs(v)) + np.max(np.abs(d)))
 
 
-def h1_norm(m: "DensityGrid | GradientGrid") -> float:
+def h1_norm(m: GradientGrid) -> float:
     """Full H1 norm: sqrt(L2^2 + seminorm^2)."""
     return float(np.hypot(lp_norm(m, "L2"), lp_norm(m, "H1_seminorm")))
 
 
-def sample_at(m: "DensityGrid | GradientGrid", x: "float | np.ndarray") -> "float | np.ndarray":
+def sample_at(m: GradientGrid, x: "float | np.ndarray") -> "float | np.ndarray":
     """Linear interpolation between neighboring nodes; 0 outside [lo, hi]."""
     out = np.interp(x, m.x, m.values, left=0.0, right=0.0)
     if np.isscalar(x) or np.ndim(x) == 0:
@@ -248,7 +210,7 @@ def support_interval(m: DensityGrid, rel_threshold: float = 0.0) -> "tuple[float
     return float(x[idx[0]]), float(x[idx[-1]])
 
 
-def density_to_csv(m: "DensityGrid | GradientGrid", path: "str | Path") -> None:
+def density_to_csv(m: GradientGrid, path: "str | Path") -> None:
     """Write ``x,value`` rows at full precision (17 significant digits)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,value\n")
@@ -268,7 +230,7 @@ def density_from_csv(path: "str | Path") -> DensityGrid:
     return DensityGrid(float(x[0]), float(x[-1]), v)
 
 
-def window_integral(m: "DensityGrid | GradientGrid", a: float, b: float) -> float:
+def window_integral(m: GradientGrid, a: float, b: float) -> float:
     """Integral of the node data over [a, b] inside the grid.
 
     Whole node panels are summed with composite Simpson on pairs of cells

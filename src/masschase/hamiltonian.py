@@ -8,10 +8,7 @@ compactly supported m. Discretely it uses the composite Simpson norm
 partner derivative ``grid.simpson_sbp_diff``. That pair satisfies summation
 by parts exactly, and the Simpson representers of the closed-form candidates
 below are the ones this norm pairs against, so their Isaacs residuals are at
-machine precision instead of quadrature-noise level. The direct form
-(differentiate the product f*m) exists behind a flag for consistency checks:
-for a density that vanishes at both ends it equals the by-parts form to
-roundoff.
+machine precision instead of quadrature-noise level.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlDictionary, ControlField
-from .cost import RunningCost, psi1, running_cost, running_cost_modulus
+from .cost import RunningCost, psi1, running_cost_matrix
 from .grid import (
     DensityGrid,
     GradientGrid,
@@ -39,28 +36,20 @@ def transport_pairing(
     f: ControlField,
     m: DensityGrid,
     sigma: float = 0.0,
-    form: str = "by_parts",
 ) -> float:
     """Pairing of p with the (possibly diffusive) transport operator on m.
 
     Returns -integral f*m*p' dx, plus -sigma * integral m'' * p dx when
     sigma > 0. The density must vanish at the grid boundary for the
-    integration-by-parts form to hold. Both forms integrate with the Simpson
-    norm and differentiate with its summation-by-parts partner, so they agree
-    to roundoff. The diffusive term takes m'' as that partner applied twice,
-    so for a density that vanishes on the two cells at each end it equals
-    -sigma * integral m * p'' discretely as well.
+    integration-by-parts form to hold. It integrates with the Simpson norm
+    and differentiates with its summation-by-parts partner. The diffusive
+    term takes m'' as that partner applied twice, so for a density that
+    vanishes on the two cells at each end it equals -sigma * integral m * p''
+    discretely as well.
     """
     require_same_grid(p, m)
-    x = m.x
     w = simpson_weights(m.n_cells) * m.dx
-    fv = f.value(x)
-    if form == "by_parts":
-        val = -float(np.dot(w, fv * m.values * simpson_sbp_diff(p.values, p.dx)))
-    elif form == "direct":
-        val = float(np.dot(w, p.values * simpson_sbp_diff(fv * m.values, m.dx)))
-    else:
-        raise ValueError(f"unknown pairing form {form!r}")
+    val = -float(np.dot(w, f.value(m.x) * m.values * simpson_sbp_diff(p.values, p.dx)))
     if sigma > 0.0:
         m2 = simpson_sbp_diff(simpson_sbp_diff(m.values, m.dx), m.dx)
         val -= sigma * float(np.dot(w, m2 * p.values))
@@ -106,26 +95,18 @@ def hamiltonian_minmax(
 
     The objective is pairing(p, a, mX) + pairing(q, b, mY) - running cost.
     """
-    tube = (mX.lo, mX.hi)
-    pair_a = [transport_pairing(p, a, mX, sigma) for a in dictA.fields]
-    pair_b = [transport_pairing(q, b, mY, sigma) for b in dictB.fields]
-    matrix = []
-    argmax_per_b = []
-    inner = []
-    for bi, b in enumerate(dictB.fields):
-        row = []
-        for ai, a in enumerate(dictA.fields):
-            row.append(pair_a[ai] + pair_b[bi] - running_cost(rc, mX, mY, t, a, b, tube))
-        best_a = int(np.argmax(row))
-        argmax_per_b.append(best_a)
-        inner.append(row[best_a])
-        matrix.append(tuple(row))
+    pair_a = np.array([transport_pairing(p, a, mX, sigma) for a in dictA.fields])
+    pair_b = np.array([transport_pairing(q, b, mY, sigma) for b in dictB.fields])
+    ell = running_cost_matrix(rc, dictA, dictB, (mX.lo, mX.hi))
+    matrix = pair_a[None, :] + pair_b[:, None] - ell
+    argmax_per_b = np.argmax(matrix, axis=1)
+    inner = matrix[np.arange(len(dictB)), argmax_per_b]
     best_b = int(np.argmin(inner))
     return HamiltonianResult(
         value=float(inner[best_b]),
         argmin_b=best_b,
-        argmax_a_per_b=tuple(argmax_per_b),
-        matrix=tuple(matrix),
+        argmax_a_per_b=tuple(argmax_per_b.tolist()),
+        matrix=tuple(map(tuple, matrix.tolist())),
     )
 
 
@@ -273,8 +254,8 @@ def continuity_gap_check(
     Evaluates |H(state1, p, q) - H(state2, p, q)| with the specific
     representers p = 2*(m1X - m2X)/zeta^2 and q = 2*(m1Y - m2Y)/xi^2, and
     compares against M_bound times the squared L2 distances (scaled by the
-    same parameters) plus the running-cost modulus term, which is zero for
-    both built-in running costs. A small absolute slack absorbs the
+    same parameters). The running cost depends on the controls alone, so it
+    adds no term in the state distance. A small absolute slack absorbs the
     quadrature mismatch between the two sides.
     """
     if zeta <= 0 or xi <= 0:
@@ -288,7 +269,5 @@ def continuity_gap_check(
     lhs = abs(h1 - h2)
     dX = GradientGrid(m1X.lo, m1X.hi, m1X.values - m2X.values)
     dY = GradientGrid(m1Y.lo, m1Y.hi, m1Y.values - m2Y.values)
-    rhs = M_bound * (
-        lp_norm(dX, "L2") ** 2 / zeta**2 + lp_norm(dY, "L2") ** 2 / xi**2
-    ) + running_cost_modulus(rc)
+    rhs = M_bound * (lp_norm(dX, "L2") ** 2 / zeta**2 + lp_norm(dY, "L2") ** 2 / xi**2)
     return GapCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-6)

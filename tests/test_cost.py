@@ -1,9 +1,11 @@
 """Cost module: the three final costs, running costs, and the functional J."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from masschase.controls import Constant, ControlSchedule, standard_dictionary
+from masschase.controls import Affine, Constant, ControlSchedule, Scatter, standard_dictionary
 from masschase.cost import (
     ControlEffort,
     CostModulus,
@@ -106,21 +108,35 @@ class TestPsi3:
 
 class TestRunningCost:
     def test_zero_kind(self):
-        m = make_bump(-2.0, 2.0, 512, 0.0, 0.5)
         rc = ZeroRunningCost()
-        assert running_cost(rc, m, m, 0.3, Constant(1.0), Constant(-1.0), (-2.0, 2.0)) == 0.0
+        assert running_cost(rc, Constant(1.0), Constant(-1.0), (-2.0, 2.0)) == 0.0
 
     def test_constant_effort_is_c_squared_times_length(self):
-        m = make_bump(-2.0, 2.0, 512, 0.0, 0.5)
         rc = ControlEffort(wX=1.0, wY=0.0)
         c, L = 0.8, 3.0
-        val = running_cost(rc, m, m, 0.0, Constant(c), Constant(0.0), (0.0, L))
+        val = running_cost(rc, Constant(c), Constant(0.0), (0.0, L))
         assert val == pytest.approx(c * c * L, abs=1e-8)
 
     def test_idle_controls_cost_nothing(self):
-        m = make_bump(-2.0, 2.0, 512, 0.0, 0.5)
         rc = ControlEffort(wX=1.0, wY=1.0)
-        assert running_cost(rc, m, m, 0.0, Constant(0.0), Constant(0.0), (-1.0, 1.0)) == 0.0
+        assert running_cost(rc, Constant(0.0), Constant(0.0), (-1.0, 1.0)) == 0.0
+
+    # C^2 per unit clipped length plus the integral of (slope*x + intercept)^2
+    # over the band where the field is unclipped
+    @pytest.mark.parametrize("f, tube, exact", [
+        # band [-0.3, 0.5] carries 2/7.5; 3.6 clipped
+        (Scatter(-0.3, 0.5, 1.0), (-2.2, 2.2), 58.0 / 15.0),
+        # band [-0.5, 0.25] cut by the tube carries (1 + 1/8) / 6; 1.75 clipped
+        (Affine(2.0, 0.5, 1.0), (-0.5, 2.0), 31.0 / 16.0),
+        # falling band [-0.25, 0.75] carries 1/3; 1.5 clipped
+        (Affine(-2.0, 0.5, 1.0), (-0.5, 2.0), 11.0 / 6.0),
+        # the band lies left of the tube: clipped everywhere
+        (Affine(2.0, 5.0, 1.0), (-0.5, 2.0), 2.5),
+    ], ids=("Scatter", "Affine-rising", "Affine-falling", "Affine-saturated"))
+    def test_effort_of_clipped_affine_fields_is_closed_form(self, f, tube, exact):
+        rc = ControlEffort(wX=0.3, wY=0.7)
+        assert running_cost(rc, f, Constant(0.0), tube) == pytest.approx(0.3 * exact, rel=1e-14)
+        assert running_cost(rc, Constant(0.0), f, tube) == pytest.approx(0.7 * exact, rel=1e-14)
 
 
 class TestEvaluateJ:
@@ -148,11 +164,17 @@ class TestEvaluateJ:
         J = evaluate_J(spec, move, move)
         assert J == pytest.approx(psi3(spec.mX0, spec.mY0), abs=2e-6)
 
-    def test_invariant_to_time_sampling_when_integrand_vanishes(self):
-        spec = self._spec(Overlap())
-        move = ControlSchedule.constant(Constant(0.5), 0.0, 0.5)
-        vals = [evaluate_J(spec, move, move, n_time_samples=k) for k in (1, 4, 16)]
-        assert vals[0] == vals[1] == vals[2]
+    def test_running_cost_integral_is_exact_across_a_switch(self):
+        # alpha runs at unit speed until 0.13, off any sampling lattice, then
+        # idles; only that stretch costs wX * 1^2 * L per unit time
+        rc = ControlEffort(wX=0.7, wY=0.3)
+        spec = self._spec(Overlap(), rc=rc)
+        alpha = ControlSchedule((0.0, 0.13, 0.5), (Constant(1.0), Constant(0.0)))
+        idle = ControlSchedule.constant(Constant(0.0), 0.0, 0.5)
+        L = spec.mX0.hi - spec.mX0.lo
+        free = dataclasses.replace(spec, rc=ZeroRunningCost())
+        running = evaluate_J(spec, alpha, idle) - evaluate_J(free, alpha, idle)
+        assert running == pytest.approx(0.7 * L * 0.13, rel=1e-12)
 
     def test_effort_cost_adds_time_integral(self):
         rc = ControlEffort(wX=1.0, wY=1.0)
@@ -160,7 +182,7 @@ class TestEvaluateJ:
         cA, cB = 1.0, 1.0
         alpha = ControlSchedule.constant(Constant(cA), 0.0, 0.5)
         beta = ControlSchedule.constant(Constant(cB), 0.0, 0.5)
-        J = evaluate_J(spec, alpha, beta, n_time_samples=8)
+        J = evaluate_J(spec, alpha, beta)
         L = spec.mX0.hi - spec.mX0.lo
         expected_integral = 0.5 * (cA**2 * L + cB**2 * L)
         final = psi3(spec.mX0, spec.mY0)  # equal translations keep the gap

@@ -145,14 +145,13 @@ class TestSolveValues:
         spec = _spec(*game, WindowDiffSquared(0.4), rc)
         table = solve_values(spec)
         strat = extract_strategy(spec, table)
-        tube = (spec.mX0.lo, spec.mX0.hi)
         for k in range(spec.n_steps):
             v = table.valid[k]
             assert np.all(strat.a_index[k][~v] == -1) and np.all(strat.b_index[k][~v] == -1)
             for i, j in zip(*np.nonzero(v)):
                 a = spec.dictA[strat.a_index[k, i, j]]
                 b = spec.dictB[strat.b_index[k, i, j]]
-                ell = running_cost(rc, spec.mX0, spec.mY0, spec.t0, a, b, tube)
+                ell = running_cost(rc, a, b, spec.tube)
                 nxt = table.value_at(
                     "lower", k + 1, table.hx[i] + a.c * spec.dt, table.hy[j] + b.c * spec.dt
                 )
@@ -190,14 +189,16 @@ class TestSimulatePlay:
         assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "fc, gap", [(MeanDiffSquared(), 0.6), (Overlap(), 0.0), (Overlap(), -0.2)],
-        ids=("MeanDiffSquared", "Overlap-0.0", "Overlap-0.2"),
+        "fc, gap, n_cells",
+        [(MeanDiffSquared(), 0.6, 384), (Overlap(), 0.0, 384), (Overlap(), -0.2, 384),
+         (Overlap(), 0.0, 256)],
+        ids=("MeanDiffSquared", "Overlap-0.0", "Overlap-0.2", "Overlap-0.0-256cells"),
     )
-    def test_effort_game_with_switching_controls_realizes_the_table_value(self, fc, gap):
-        # 384 cells put every advance c * dt = 0.125 on whole density cells,
-        # so the step-by-step transport of the realized path is exact and
-        # only the running-cost integral can differ from the table
-        spec = _spec(gap, 0.5, 4, fc, ControlEffort(0.3, 0.7), n_cells=384)
+    def test_effort_game_with_switching_controls_realizes_the_table_value(self, fc, gap, n_cells):
+        # the realized path translates each density once, by the same offset
+        # the table's terminal level reads, whether or not the advances
+        # c * dt = 0.125 are whole density cells (384 cells) or not (256)
+        spec = _spec(gap, 0.5, 4, fc, ControlEffort(0.3, 0.7), n_cells=n_cells)
         play = simulate_play(spec, solve_values(spec))
         assert len(set(play.a_indices)) > 1 or len(set(play.b_indices)) > 1
         assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
@@ -259,6 +260,15 @@ class TestTerminalGrid:
             for j, g in enumerate(hy):
                 ref = final_cost(fc, translate_density(spec.mX0, h), translate_density(spec.mY0, g))
                 assert grid[i, j] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_tiny_offset_keeps_the_density_nonnegative(self):
+        # x = 0 is the first zero node right of mY0's support; a shift of
+        # 7.7e-64 moves it into the cell on its left, where interpolation
+        # rounded to -8.7e-19
+        spec = _spec(-1.015625, 0.5, 1, MeanDiffSquared(), ZeroRunningCost())
+        shifted = translate_density(spec.mY0, 7.748963501562888e-64)
+        assert np.all(shifted.values >= 0.0)
+        assert np.array_equal(shifted.values, spec.mY0.values)
 
     def test_overflowing_offset_raises(self):
         spec = _spec(0.6, 0.5, 1, Overlap(), ZeroRunningCost())
