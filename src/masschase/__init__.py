@@ -35,7 +35,6 @@ from .cost import (
 )
 from .errors import (
     BoxOverflow,
-    CflViolation,
     GridMismatch,
     MassChaseError,
     NotReduced,
@@ -45,7 +44,7 @@ from .errors import (
 )
 from .flow import (
     SupportTube,
-    fokker_planck_solve,
+    drift_diffuse,
     integrate_flow,
     inverse_flow,
     push_forward,

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .controls import ControlDictionary, ControlField, ControlSchedule
-from .flow import fokker_planck_solve, cfl_time_steps, push_forward
+from .flow import drift_diffuse
 from .grid import (
     DensityGrid,
     mean,
@@ -190,7 +190,7 @@ def evaluate_J(spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule) 
     Both schedules are piecewise constant in time and the running cost
     depends on the controls alone, so its integral is an exact sum over the
     merged breakpoints of the two schedules, each piece charged to the fields
-    active inside it. Each density is transported once over [t0, T].
+    active inside it. Each density is drift-diffused once over [t0, T].
     """
     t0, T = spec.t0, spec.T
     inner = {s for s in alpha.breakpoints + beta.breakpoints if t0 < s < T}
@@ -199,11 +199,6 @@ def evaluate_J(spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule) 
         (s1 - s0) * running_cost(spec.rc, alpha.field_at(s0), beta.field_at(s0), spec.tube)
         for s0, s1 in zip(cuts, cuts[1:])
     )
-
-    def evolve(m0: DensityGrid, sched: ControlSchedule) -> DensityGrid:
-        if spec.sigma > 0:
-            n = cfl_time_steps(m0, sched, spec.sigma, t0, T)
-            return fokker_planck_solve(m0, sched, spec.sigma, t0, T, n)
-        return push_forward(m0, sched, t0, T)
-
-    return integral + final_cost(spec.fc, evolve(spec.mX0, alpha), evolve(spec.mY0, beta))
+    mX = drift_diffuse(spec.mX0, alpha, spec.sigma, t0, T)
+    mY = drift_diffuse(spec.mY0, beta, spec.sigma, t0, T)
+    return integral + final_cost(spec.fc, mX, mY)

@@ -17,10 +17,6 @@ class TubeOverflow(MassChaseError):
     """A transported support would leave the grid domain."""
 
 
-class CflViolation(MassChaseError):
-    """Time step too large for the stability limit of the scheme."""
-
-
 class NotReduced(MassChaseError):
     """Operation requires the rigid-translation (constant-control) reduction."""
 

@@ -1,4 +1,4 @@
-"""Characteristic flows, push-forward transport, and the diffusive extension.
+"""Characteristic flows, push-forward transport, and drift-diffusion.
 
 The density update is the push-forward along characteristics: transported
 value at x is the initial value at the backward foot point divided by the
@@ -10,30 +10,28 @@ finite differencing of the flow map. The inverse flow is the same solver run
 backward in time on the negated field rather than a numerical inversion of
 the forward map.
 
-The diffusive extension has one march, ``fokker_planck_sweep``: a
-Strang-split loop over a stack of densities on one grid, stored nodes by
-rows with the rows on the last axis, each row with its own schedule and
-noise level. Each row comes out bit-identical to a march of that row alone;
-``fokker_planck_solve`` is the one-row case.
+Drift-diffusion ``m_t + (v m)_x = sigma m_xx`` is solved only under spatially
+constant fields, where transport commutes with the heat semigroup: the
+density is pushed forward once and then diffused by the exact semigroup of
+the zero-Dirichlet three-point Laplacian, applied as a sine transform. There
+is no time step and no stability limit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .controls import ControlSchedule
-from .errors import CflViolation, MassChaseError, TubeOverflow
+from .controls import Constant, ControlSchedule
+from .errors import MassChaseError, NotReduced, TubeOverflow
 from .grid import (
     DensityGrid,
     GradientGrid,
     h1_norm,
     lp_norm,
-    require_same_grid,
     sample_at,
     support_interval,
     total_mass,
@@ -213,15 +211,6 @@ def solve_continuity(
     return [m0 if s == t0 else push_forward(m0, schedule, t0, s) for s in times]
 
 
-def snapshots_to_csv(times: Sequence[float], snaps: Sequence[DensityGrid], path) -> None:
-    """Write a snapshot series as ``time,x,value`` rows at full precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,x,value\n")
-        for t, m in zip(times, snaps):
-            for xi, vi in zip(m.x, m.values):
-                fh.write(f"{t:.17g},{xi:.17g},{vi:.17g}\n")
-
-
 @dataclass(frozen=True)
 class InvariantCheckEntry:
     schedule_index: int
@@ -340,145 +329,49 @@ def verify_invariant_set(
     return InvariantSetReport(bound, tuple(entries), tuple(ratios), ratio_bound)
 
 
-def fokker_planck_solve(
+def _heat_step(m: DensityGrid, s: float) -> DensityGrid:
+    """Apply exp(s * L_h), L_h the zero-Dirichlet three-point Laplacian, exactly.
+
+    The sine vectors sin(k*pi*j/N) diagonalise L_h with eigenvalues
+    -(4/dx^2) * sin^2(k*pi/(2N)). The real FFT of the odd extension of the
+    node values is their sine transform (a DST-I), and a real multiplier
+    keeps the extension odd, so the first N + 1 entries of the inverse FFT
+    are the diffused nodes. The semigroup is positive, so every interior node
+    comes out positive; values at or below the transform's roundoff floor,
+    negative roundoff included, are set to 0 so the support stays finite.
+    """
+    n = m.n_cells
+    lam = -(4.0 / m.dx**2) * np.sin(np.arange(n + 1) * (np.pi / (2 * n))) ** 2
+    odd = np.concatenate([m.values, -m.values[-2:0:-1]])
+    out = np.fft.irfft(np.fft.rfft(odd) * np.exp(s * lam), 2 * n)[: n + 1]
+    out[out <= 64.0 * np.finfo(float).eps * out.max()] = 0.0
+    out[[0, -1]] = 0.0
+    return DensityGrid(m.lo, m.hi, out)
+
+
+def drift_diffuse(
     m0: DensityGrid,
     schedule: ControlSchedule,
     sigma: float,
     t0: float,
     t1: float,
-    n_time_steps: int,
 ) -> DensityGrid:
-    """March the drift-diffusion mass equation with Strang splitting.
+    """Solve m_t + (v m)_x = sigma * m_xx from t0 to t1 with zero boundary values.
 
-    Each step is half a conservative upwind transport step, a full explicit
-    three-point diffusion step, and another half transport step, with zero
-    Dirichlet boundary values. For sigma = 0 the diffusion stage drops out
-    and the scheme is pure conservative transport. The diffusion stability
-    limit sigma * dt / dx^2 <= 0.45 is enforced, as is the advective limit
-    of the upwind half steps.
-
-    This is the one-row case of :func:`fokker_planck_sweep`, the only march.
+    With sigma = 0 this is :func:`push_forward`. With sigma > 0 every field
+    on [t0, t1] must be a ``Constant``: transport is then a translation that
+    commutes with diffusion, so the result is the push-forward followed by
+    one exact heat step of length sigma * (t1 - t0). Any other field raises
+    NotReduced.
     """
-    return fokker_planck_sweep([m0], [schedule], [sigma], t0, t1, n_time_steps)[0]
-
-
-def _face_velocities(
-    schedules: "Sequence[ControlSchedule]", faces: np.ndarray, times: np.ndarray
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Face velocities and upwind masks for every row, one pair per time.
-
-    Each schedule's field pick at each time follows ``field_at``'s rule
-    (right-continuous, clamped to the schedule's span), found with one
-    ``searchsorted``. The ``(vf, vf >= 0)`` pair of ``(n_faces, n_rows)``
-    arrays is built once per distinct pick vector and shared by every time
-    with that vector, so a field is evaluated once per schedule segment.
-    """
-    picks = np.stack([
-        np.clip(np.searchsorted(s.breakpoints, times, side="right") - 1, 0, len(s.fields) - 1)
-        for s in schedules
-    ], axis=1)
-    distinct, which = np.unique(picks, axis=0, return_inverse=True)
-    table = []
-    for row in distinct:
-        vf = np.stack([s.fields[i].value(faces) for s, i in zip(schedules, row)], axis=1)
-        table.append((vf, vf >= 0.0))
-    return [table[i] for i in which.reshape(-1)]
-
-
-def fokker_planck_sweep(
-    m0s: "Sequence[DensityGrid]",
-    schedules: "Sequence[ControlSchedule]",
-    sigmas: "Sequence[float]",
-    t0: float,
-    t1: float,
-    n_time_steps: int,
-) -> "list[DensityGrid]":
-    """March many densities on one grid with one Strang-split loop.
-
-    Row r is ``m0s[r]`` driven by ``schedules[r]`` with noise ``sigmas[r]``;
-    all rows share the grid, the horizon and the step count. The state is an
-    ``(n_nodes, n_rows)`` C-order array, rows on the last axis, so every
-    stencil slice is one contiguous block. Face velocities are built once per
-    schedule segment rather than once per half step. The per-element
-    arithmetic is that of a lone march, so every row is bit-identical to
-    ``fokker_planck_solve`` on that row alone; a sigma = 0 row among noisy
-    ones gains ``0 * (stencil)``, which can change at most the sign of a zero.
-
-    The stability limits are checked at the largest sigma and the largest
-    schedule speed, which is the same as checking every row.
-    """
-    m0s, schedules = list(m0s), list(schedules)
-    sig = np.array(sigmas, dtype=float).reshape(-1)
-    if not m0s or not len(m0s) == len(schedules) == sig.size:
-        raise ValueError("need one schedule and one sigma per density, and at least one row")
-    if np.any(sig < 0):
+    if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if n_time_steps < 1:
-        raise ValueError("n_time_steps must be >= 1")
     if t1 < t0:
         raise ValueError("need t0 <= t1")
-    require_same_grid(*m0s)
+    if sigma == 0.0:
+        return push_forward(m0, schedule, t0, t1)
     if t1 == t0:
-        return m0s
-    dt = (t1 - t0) / n_time_steps
-    m0 = m0s[0]
-    dx = m0.dx
-    sigma = float(sig.max())
-    if sigma * dt / dx**2 > 0.45:
-        raise CflViolation(
-            f"diffusion number sigma*dt/dx^2 = {sigma * dt / dx**2:.3f} exceeds 0.45"
-        )
-    vmax = max(s.max_speed for s in schedules)
-    if vmax * (dt / 2.0) / dx > 0.95:
-        raise CflViolation(
-            f"advective number vmax*dt/(2*dx) = {vmax * dt / 2.0 / dx:.3f} exceeds 0.95"
-        )
-
-    x = m0.x
-    faces = 0.5 * (x[:-1] + x[1:])
-    tk = t0 + np.arange(n_time_steps) * dt
-    plan = _face_velocities(schedules, faces, np.stack([tk, tk + dt / 2.0], axis=1).reshape(-1))
-
-    v = np.stack([m.values for m in m0s], axis=1)
-    nu = sig * dt / dx**2
-    diffuse = sigma > 0.0
-    c = (dt / 2.0) / dx
-    upwind = np.empty(faces.shape + nu.shape)
-    flux = np.empty_like(upwind)
-    inner = np.empty_like(v[1:-1])
-
-    def transport_half(vf: np.ndarray, forward: np.ndarray) -> None:
-        # flux = where(vf >= 0, vf * v[:-1], vf * v[1:]), operand picked first
-        np.copyto(upwind, v[1:])
-        np.copyto(upwind, v[:-1], where=forward)
-        np.multiply(vf, upwind, out=flux)
-        np.subtract(flux[1:], flux[:-1], out=inner)
-        np.multiply(inner, c, out=inner)
-        v[1:-1] -= inner
-        v[0] = 0.0
-        v[-1] = 0.0
-
-    for k in range(n_time_steps):
-        transport_half(*plan[2 * k])
-        if diffuse:
-            # v[1:-1] += nu * (v[2:] - 2 * v[1:-1] + v[:-2]), term by term
-            np.multiply(v[1:-1], 2.0, out=inner)
-            np.subtract(v[2:], inner, out=inner)
-            inner += v[:-2]
-            inner *= nu
-            v[1:-1] += inner
-        transport_half(*plan[2 * k + 1])
-    return [DensityGrid(m0.lo, m0.hi, v[:, r]) for r in range(v.shape[1])]
-
-
-def cfl_time_steps(
-    m0: DensityGrid, schedule: ControlSchedule, sigma: float, t0: float, t1: float
-) -> int:
-    """Smallest step count satisfying both stability limits with margin."""
-    span = t1 - t0
-    if span <= 0:
-        return 1
-    dx = m0.dx
-    n_diff = span * sigma / (0.4 * dx**2) if sigma > 0 else 0.0
-    n_adv = span * schedule.max_speed / (1.6 * dx)
-    return max(1, int(math.ceil(max(n_diff, n_adv))))
+        return m0
+    if not all(isinstance(f, Constant) for _, _, f in schedule.segments(t0, t1)):
+        raise NotReduced("diffusion is solved only under spatially constant fields")
+    return _heat_step(push_forward(m0, schedule, t0, t1), sigma * (t1 - t0))

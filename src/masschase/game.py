@@ -48,7 +48,7 @@ from .cost import (
     running_cost_matrix,
 )
 from .errors import BoxOverflow, NotReduced, TooDeep, TubeOverflow, ZeroMass
-from .flow import cfl_time_steps, fokker_planck_sweep
+from .flow import drift_diffuse
 from .grid import DensityGrid, require_same_grid, simpson_weights, support_interval
 
 
@@ -285,11 +285,7 @@ def _prediffused(spec: GameSpec) -> "tuple[DensityGrid, DensityGrid]":
     if spec.sigma <= 0.0:
         return spec.mX0, spec.mY0
     zero = ControlSchedule.constant(Constant(0.0), spec.t0, spec.T)
-    n = cfl_time_steps(spec.mX0, zero, spec.sigma, spec.t0, spec.T)
-    mX, mY = fokker_planck_sweep(
-        [spec.mX0, spec.mY0], [zero, zero], [spec.sigma, spec.sigma], spec.t0, spec.T, n
-    )
-    return mX, mY
+    return tuple(drift_diffuse(m, zero, spec.sigma, spec.t0, spec.T) for m in (spec.mX0, spec.mY0))
 
 
 def _terminal_grid(spec: GameSpec, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:

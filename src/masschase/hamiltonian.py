@@ -83,7 +83,6 @@ class HamiltonianResult:
 def hamiltonian_minmax(
     mX: DensityGrid,
     mY: DensityGrid,
-    t: float,
     p: GradientGrid,
     q: GradientGrid,
     dictA: ControlDictionary,
@@ -217,14 +216,14 @@ def isaacs_residual(
     rc: RunningCost,
     sigma: float = 0.0,
 ) -> float:
-    """-V_t + H(mX, mY, t, D_X V, D_Y V) for a candidate value function.
+    """-V_t + H(mX, mY, D_X V, D_Y V) for a candidate value function at time t.
 
     With a zero running cost the min-max and the separate sup/inf split
     agree because the objective is separable in the two controls.
     """
     p = candidate.grad_x(mX, mY, t)
     q = candidate.grad_y(mX, mY, t)
-    h = hamiltonian_minmax(mX, mY, t, p, q, dictA, dictB, rc, sigma)
+    h = hamiltonian_minmax(mX, mY, p, q, dictA, dictB, rc, sigma)
     return -candidate.time_derivative(mX, mY, t) + h.value
 
 
@@ -238,10 +237,8 @@ class GapCheck:
 def continuity_gap_check(
     m1X: DensityGrid,
     m1Y: DensityGrid,
-    t1: float,
     m2X: DensityGrid,
     m2Y: DensityGrid,
-    t2: float,
     zeta: float,
     xi: float,
     dictA: ControlDictionary,
@@ -264,8 +261,8 @@ def continuity_gap_check(
     require_same_grid(m1Y, m2Y)
     p = GradientGrid(m1X.lo, m1X.hi, 2.0 * (m1X.values - m2X.values) / zeta**2)
     q = GradientGrid(m1Y.lo, m1Y.hi, 2.0 * (m1Y.values - m2Y.values) / xi**2)
-    h1 = hamiltonian_minmax(m1X, m1Y, t1, p, q, dictA, dictB, rc).value
-    h2 = hamiltonian_minmax(m2X, m2Y, t2, p, q, dictA, dictB, rc).value
+    h1 = hamiltonian_minmax(m1X, m1Y, p, q, dictA, dictB, rc).value
+    h2 = hamiltonian_minmax(m2X, m2Y, p, q, dictA, dictB, rc).value
     lhs = abs(h1 - h2)
     dX = GradientGrid(m1X.lo, m1X.hi, m1X.values - m2X.values)
     dY = GradientGrid(m1Y.lo, m1Y.hi, m1Y.values - m2Y.values)

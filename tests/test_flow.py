@@ -15,12 +15,11 @@ from masschase.controls import (
     schedule_from_sequence,
     standard_dictionary,
 )
-from masschase.errors import CflViolation, GridMismatch, TubeOverflow
+from masschase.errors import NotReduced, TubeOverflow
 from masschase.flow import (
     SupportTube,
+    drift_diffuse,
     flow_arrays,
-    fokker_planck_solve,
-    fokker_planck_sweep,
     integrate_flow,
     inverse_flow,
     push_forward,
@@ -359,9 +358,7 @@ class TestFokkerPlanck:
 
         m0 = DensityGrid.from_callable(lo, hi, n, gauss, normalize=True)
         sched = const_schedule(0.0, 0.0, T)
-        dx = m0.dx
-        n_t = int(np.ceil(T * sigma / (0.4 * dx**2)))
-        out = fokker_planck_solve(m0, sched, sigma, 0.0, T, n_t)
+        out = drift_diffuse(m0, sched, sigma, 0.0, T)
 
         def variance(m):
             from masschase.grid import mean, simpson_weights
@@ -378,29 +375,21 @@ class TestFokkerPlanck:
         m0 = make_bump(lo, hi, n, 0.2, 0.5)
         c, T = 0.7, 0.3
         sched = const_schedule(c, 0.0, T)
-        n_t = int(np.ceil(T * c / (0.8 * m0.dx)))
-        out_fp = fokker_planck_solve(m0, sched, 0.0, 0.0, T, n_t)
+        out_fp = drift_diffuse(m0, sched, 0.0, 0.0, T)
         out_pf = push_forward(m0, sched, 0.0, T)
-        l1 = np.sum(np.abs(out_fp.values - out_pf.values)) * m0.dx
-        # first-order upwind against exact characteristics: O(dx) gap
-        assert l1 <= 8.0 * m0.dx
+        assert np.array_equal(out_fp.values, out_pf.values)
 
     def test_mass_conserved(self):
-        # the stencil conserves the flat node sum to roundoff; the Simpson
-        # measure of the same values needs n=1024 to stay under 1e-6
+        # the semigroup loses only the flux through the far-off zero ends, so
+        # the flat node sum holds to roundoff; the Simpson measure of the same
+        # values needs n=1024 to stay under 1e-6
         m0 = make_bump(-3.0, 3.0, 1024, 0.0, 0.5)
         sched = const_schedule(0.4, 0.0, 0.5)
-        n_t = max(1, int(np.ceil(0.5 * 0.05 / (0.4 * m0.dx**2))))
-        out = fokker_planck_solve(m0, sched, 0.05, 0.0, 0.5, n_t)
+        out = drift_diffuse(m0, sched, 0.05, 0.0, 0.5)
         assert abs(total_mass(out) - 1.0) <= 1e-6
         flat0 = np.sum(m0.values) * m0.dx
         flat1 = np.sum(out.values) * out.dx
         assert abs(flat1 - flat0) <= 1e-12 * flat0
-
-    def test_cfl_violation_raises(self):
-        m0 = make_bump(-2.0, 2.0, 512, 0.0, 0.5)
-        with pytest.raises(CflViolation):
-            fokker_planck_solve(m0, const_schedule(0.0, 0.0, 1.0), 0.5, 0.0, 1.0, 10)
 
     def test_vanishing_viscosity_monotone(self):
         lo, hi, n = -2.5, 2.5, 1024
@@ -410,109 +399,73 @@ class TestFokkerPlanck:
         ref = push_forward(m0, sched, 0.0, T)
         dists = []
         for sigma in (0.1, 0.03, 0.01, 0.003):
-            n_t = int(np.ceil(T * max(sigma / (0.4 * m0.dx**2), c / (0.8 * m0.dx))))
-            out = fokker_planck_solve(m0, sched, sigma, 0.0, T, n_t)
+            out = drift_diffuse(m0, sched, sigma, 0.0, T)
             dists.append(float(np.sum(np.abs(out.values - ref.values)) * m0.dx))
         assert all(d1 < d0 for d0, d1 in zip(dists, dists[1:])), dists
 
 
-def lone_march(m0, schedule, sigma, t0, t1, n_time_steps):
-    """Reference: one Strang-split row, a field lookup at every half step."""
-    dt = (t1 - t0) / n_time_steps
-    dx = m0.dx
-    x = m0.x
-    faces = 0.5 * (x[:-1] + x[1:])
-    v = m0.values.copy()
-    nu = sigma * dt / dx**2
+class TestHeatStep:
+    """The heat step against a dense eigendecomposition of the same Laplacian."""
 
-    def transport_half(v, f):
-        vf = f.value(faces)
-        flux = np.where(vf >= 0.0, vf * v[:-1], vf * v[1:])
-        out = v.copy()
-        out[1:-1] -= (dt / 2.0) / dx * (flux[1:] - flux[:-1])
-        out[0] = 0.0
-        out[-1] = 0.0
+    N = 64
+
+    def _m0(self):
+        return make_bump(-2.0, 2.0, self.N, 0.3, 0.9)
+
+    def _dense(self, m0, s):
+        n, dx = self.N, m0.dx
+        L = (np.diag(np.full(n - 1, -2.0)) + np.eye(n - 1, k=1) + np.eye(n - 1, k=-1)) / dx**2
+        lam, V = np.linalg.eigh(L)
+        out = np.zeros(n + 1)
+        out[1:-1] = V @ (np.exp(s * lam) * (V.T @ m0.values[1:-1]))
         return out
 
-    for k in range(n_time_steps):
-        tk = t0 + k * dt
-        v = transport_half(v, schedule.field_at(tk))
-        if sigma > 0.0:
-            v = v.copy()
-            v[1:-1] += nu * (v[2:] - 2.0 * v[1:-1] + v[:-2])
-        v = transport_half(v, schedule.field_at(tk + dt / 2.0))
-    return v
+    @pytest.mark.parametrize("s", (1e-4, 1e-3, 1e-2, 0.1))
+    def test_matches_the_dense_matrix_exponential(self, s):
+        m0 = self._m0()
+        out = drift_diffuse(m0, const_schedule(0.0, 0.0, 1.0), s, 0.0, 1.0)
+        ref = self._dense(m0, s)
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * ref.max()
+
+    def test_semigroup_property(self):
+        m0 = self._m0()
+        sched = const_schedule(0.0, 0.0, 1.0)
+        sigma = 0.02
+        once = drift_diffuse(m0, sched, sigma, 0.0, 0.7)
+        twice = drift_diffuse(drift_diffuse(m0, sched, sigma, 0.0, 0.3), sched, sigma, 0.3, 0.7)
+        assert np.max(np.abs(once.values - twice.values)) <= 1e-14 * once.values.max()
 
 
-class TestFokkerPlanckSweep:
-    T, N_T = 0.4, 240
-    # the half-step time of step 100, in the march's own expression order
-    SWITCH = 0.0 + 100 * (T / N_T) + (T / N_T) / 2.0
-
-    def _rows(self):
-        lo, hi, n = -2.5, 2.5, 256
-        schedules = [
-            const_schedule(0.8, 0.0, self.T),
-            const_schedule(-0.6, 0.0, self.T),
-            ControlSchedule.constant(Affine(0.7, -0.2, 0.9), 0.0, self.T),
-            ControlSchedule((0.0, self.SWITCH, self.T), (Constant(0.5), Affine(-0.8, 0.1, 0.6))),
-        ]
-        rows = []
-        for i, sched in enumerate(schedules):
-            for sigma in (0.0, 0.003, 0.1):
-                m0 = make_bump(lo, hi, n, -0.4 + 0.25 * i, 0.5)
-                rows.append((m0, sched, sigma))
-        return rows
-
-    def test_every_row_equals_a_lone_march(self):
-        rows = self._rows()
-        switched = rows[-1][1]
-        assert switched.field_at(self.SWITCH) is switched.fields[1]
-        outs = fokker_planck_sweep(
-            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], 0.0, self.T, self.N_T
-        )
-        assert len(outs) == len(rows)
-        for (m0, sched, sigma), out in zip(rows, outs):
-            ref = lone_march(m0, sched, sigma, 0.0, self.T, self.N_T)
-            assert np.array_equal(out.values, ref), (sched, sigma)
-
-    def test_solve_is_the_one_row_sweep(self):
-        m0, sched, sigma = self._rows()[10]
-        out = fokker_planck_solve(m0, sched, sigma, 0.0, self.T, self.N_T)
-        assert np.array_equal(out.values, lone_march(m0, sched, sigma, 0.0, self.T, self.N_T))
-
-    def test_one_row_over_the_limit_raises(self):
-        m0 = make_bump(-2.0, 2.0, 512, 0.0, 0.5)
-        calm = const_schedule(0.1, 0.0, 1.0)
-        # diffusion: only the second row's sigma breaks the limit
-        with pytest.raises(CflViolation):
-            fokker_planck_sweep([m0, m0], [calm, calm], [0.0, 0.5], 0.0, 1.0, 400)
-        # advection: only the second row's speed breaks the limit
-        fast = const_schedule(100.0, 0.0, 1.0)
-        with pytest.raises(CflViolation):
-            fokker_planck_sweep([m0, m0], [calm, fast], [0.0, 0.0], 0.0, 1.0, 400)
-        fokker_planck_sweep([m0, m0], [calm, calm], [0.0, 0.001], 0.0, 1.0, 400)
-
-    def test_rows_on_different_grids_raise(self):
-        a = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
-        b = make_bump(-2.0, 2.0, 128, 0.0, 0.5)
-        sched = const_schedule(0.1, 0.0, 1.0)
-        with pytest.raises(GridMismatch):
-            fokker_planck_sweep([a, b], [sched, sched], [0.0, 0.0], 0.0, 1.0, 100)
-
-    def test_bad_arguments_raise(self):
+class TestDriftDiffuseArguments:
+    def test_non_constant_field_with_noise_raises(self):
         m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
-        sched = const_schedule(0.1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            fokker_planck_sweep([m0, m0], [sched, sched], [0.0, -0.1], 0.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            fokker_planck_sweep([m0], [sched], [0.0], 0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            fokker_planck_sweep([m0, m0], [sched], [0.0, 0.0], 0.0, 1.0, 100)
+        sched = ControlSchedule.constant(Affine(0.7, -0.2, 0.9), 0.0, 1.0)
+        with pytest.raises(NotReduced):
+            drift_diffuse(m0, sched, 0.01, 0.0, 1.0)
+        # without noise it is the exact push-forward
+        out = drift_diffuse(m0, sched, 0.0, 0.0, 1.0)
+        assert np.array_equal(out.values, push_forward(m0, sched, 0.0, 1.0).values)
 
-    def test_zero_horizon_returns_the_inputs(self):
-        a = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
-        b = make_bump(-2.0, 2.0, 256, 0.3, 0.5)
-        sched = const_schedule(0.1, 0.0, 1.0)
-        out = fokker_planck_sweep([a, b], [sched, sched], [0.0, 0.1], 0.5, 0.5, 10)
-        assert out[0] is a and out[1] is b
+    def test_a_later_non_constant_segment_raises(self):
+        m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        sched = ControlSchedule((0.0, 0.5, 1.0), (Constant(0.5), Affine(-0.8, 0.1, 0.6)))
+        drift_diffuse(m0, sched, 0.01, 0.0, 0.5)
+        with pytest.raises(NotReduced):
+            drift_diffuse(m0, sched, 0.01, 0.0, 1.0)
+
+    def test_negative_sigma_raises(self):
+        m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            drift_diffuse(m0, const_schedule(0.1), -0.1, 0.0, 1.0)
+
+    def test_zero_horizon_returns_the_input(self):
+        m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        assert drift_diffuse(m0, const_schedule(0.1), 0.1, 0.5, 0.5) is m0
+
+    def test_tails_below_the_roundoff_floor_are_zero(self):
+        m0 = make_bump(-3.0, 3.0, 512, 0.0, 0.5)
+        out = drift_diffuse(m0, const_schedule(0.0), 0.005, 0.0, 1.0)
+        assert np.all(out.values >= 0.0)
+        lo, hi = support_interval(out)
+        assert -3.0 < lo and hi < 3.0
+        assert out.values[out.values > 0].min() > 64 * np.finfo(float).eps * out.values.max()

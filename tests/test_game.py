@@ -23,7 +23,7 @@ from masschase.cost import (
     running_cost,
 )
 from masschase.errors import BoxOverflow, TubeOverflow
-from masschase.flow import cfl_time_steps, fokker_planck_solve
+from masschase.flow import drift_diffuse
 from masschase.game import (
     GameSpec,
     ValueTable,
@@ -221,13 +221,12 @@ class TestNoisyGame:
             _spec(gap, 0.5, n_steps, fc, ZeroRunningCost()), sigma=self.SIGMA
         )
 
-    def test_prediffused_pair_equals_two_lone_marches(self):
+    def test_prediffused_pair_equals_two_lone_diffusions(self):
         spec = self._noisy(0.6, 2, Overlap())
         mX, mY = _prediffused(spec)
         zero = ControlSchedule.constant(Constant(0.0), spec.t0, spec.T)
-        n = cfl_time_steps(spec.mX0, zero, spec.sigma, spec.t0, spec.T)
         for m, m0 in ((mX, spec.mX0), (mY, spec.mY0)):
-            lone = fokker_planck_solve(m0, zero, spec.sigma, spec.t0, spec.T, n)
+            lone = drift_diffuse(m0, zero, spec.sigma, spec.t0, spec.T)
             assert np.array_equal(m.values, lone.values)
         assert not np.array_equal(mX.values, spec.mX0.values)
 

@@ -102,7 +102,7 @@ class TestHamiltonianMinmax:
         d = standard_dictionary(1.0)
         cand = Psi3Analytic()
         res = hamiltonian_minmax(
-            mX, mY, 0.0, cand.grad_x(mX, mY, 0.0), cand.grad_y(mX, mY, 0.0), d, d, ZERO
+            mX, mY, cand.grad_x(mX, mY, 0.0), cand.grad_y(mX, mY, 0.0), d, d, ZERO
         )
         assert abs(res.value) <= 1e-6
 
@@ -111,7 +111,7 @@ class TestHamiltonianMinmax:
         mY = make_bump(-2.0, 2.0, 256, 0.3, 0.5)
         z = GradientGrid(mX.lo, mX.hi, np.zeros_like(mX.values))
         d = standard_dictionary(1.0)
-        res = hamiltonian_minmax(mX, mY, 0.0, z, z, d, d, ZERO)
+        res = hamiltonian_minmax(mX, mY, z, z, d, d, ZERO)
         assert res.value == 0.0
         assert res.argmin_b == 0
         assert res.argmax_a_per_b == (0, 0, 0)
@@ -122,7 +122,7 @@ class TestHamiltonianMinmax:
         d = standard_dictionary(1.0)
         cand = Psi1Analytic()
         res = hamiltonian_minmax(
-            mX, mY, 0.0, cand.grad_x(mX, mY, 0.0), cand.grad_y(mX, mY, 0.0), d, d, ZERO
+            mX, mY, cand.grad_x(mX, mY, 0.0), cand.grad_y(mX, mY, 0.0), d, d, ZERO
         )
         assert abs(res.value) <= 1e-6
 
@@ -132,7 +132,7 @@ class TestHamiltonianMinmax:
         p = GradientGrid(mX.lo, mX.hi, mX.x)
         q = GradientGrid(mX.lo, mX.hi, -0.5 * mX.x)
         d = standard_dictionary(1.0)
-        res = hamiltonian_minmax(mX, mY, 0.0, p, q, d, d, ZERO)
+        res = hamiltonian_minmax(mX, mY, p, q, d, d, ZERO)
         assert res.value == res.matrix[res.argmin_b][res.argmax_a_per_b[res.argmin_b]]
 
     def test_separability_for_control_free_cost(self):
@@ -141,7 +141,7 @@ class TestHamiltonianMinmax:
         p = GradientGrid(mX.lo, mX.hi, np.tanh(mX.x))
         q = GradientGrid(mX.lo, mX.hi, mX.x**2 / 4.0)
         d = standard_dictionary(1.0, include_scatter=True, xi1=-0.4, xi2=0.8)
-        res = hamiltonian_minmax(mX, mY, 0.0, p, q, d, d, ZERO)
+        res = hamiltonian_minmax(mX, mY, p, q, d, d, ZERO)
         max_a = max(transport_pairing(p, a, mX) for a in d.fields)
         min_b = min(transport_pairing(q, b, mY) for b in d.fields)
         assert abs(res.value - (max_a + min_b)) <= 1e-10
@@ -152,9 +152,9 @@ class TestHamiltonianMinmax:
         p = GradientGrid(mX.lo, mX.hi, np.sin(2 * mX.x))
         q = GradientGrid(mX.lo, mX.hi, np.cos(mX.x))
         d = standard_dictionary(1.0)
-        r1 = hamiltonian_minmax(mX, mY, 0.0, p, q, d, d, ZERO)
+        r1 = hamiltonian_minmax(mX, mY, p, q, d, d, ZERO)
         p2 = GradientGrid(mX.lo, mX.hi, 7.3 * p.values)
-        r2 = hamiltonian_minmax(mX, mY, 0.0, p2, q, d, d, ZERO)
+        r2 = hamiltonian_minmax(mX, mY, p2, q, d, d, ZERO)
         assert r1.argmax_a_per_b == r2.argmax_a_per_b
 
     def test_result_serializes_with_matrix(self):
@@ -162,7 +162,7 @@ class TestHamiltonianMinmax:
         mY = make_bump(-2.0, 2.0, 256, 0.4, 0.5)
         z = GradientGrid(mX.lo, mX.hi, np.zeros_like(mX.values))
         d = standard_dictionary(1.0)
-        res = hamiltonian_minmax(mX, mY, 0.0, z, z, d, d, ZERO)
+        res = hamiltonian_minmax(mX, mY, z, z, d, d, ZERO)
         blob = json.loads(res.to_json())
         assert len(blob["matrix"]) == 3 and len(blob["matrix"][0]) == 3
 
@@ -211,7 +211,7 @@ class TestContinuityGap:
         mX, mY = make_bump(-2, 2, 256, -0.3, 0.5), make_bump(-2, 2, 256, 0.4, 0.5)
         d = standard_dictionary(1.0, include_scatter=True, xi1=-0.5, xi2=0.5)
         chk = continuity_gap_check(
-            mX, mY, 0.2, mX, mY, 0.2, 1.0, 1.0, d, d, ZERO, d.div_bound
+            mX, mY, mX, mY, 1.0, 1.0, d, d, ZERO, d.div_bound
         )
         assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.passed
 
@@ -222,7 +222,7 @@ class TestContinuityGap:
             m2X, m2Y = random_bump_pair(rng)
             zeta, xi = rng.uniform(0.5, 2.0, 2)
             chk = continuity_gap_check(
-                m1X, m1Y, rng.uniform(0, 1), m2X, m2Y, rng.uniform(0, 1),
+                m1X, m1Y, m2X, m2Y,
                 zeta, xi, d, d, ZERO, d.div_bound,
             )
             assert chk.passed, (chk.lhs, chk.rhs)
@@ -237,7 +237,7 @@ class TestContinuityGap:
             m2X = DensityGrid(lo, hi, scale * m1X.values)
             m2Y = DensityGrid(lo, hi, scale * m1Y.values)
             chk = continuity_gap_check(
-                m1X, m1Y, 0.0, m2X, m2Y, 0.0, 1.0, 1.0, d, d, ZERO, d.div_bound
+                m1X, m1Y, m2X, m2Y, 1.0, 1.0, d, d, ZERO, d.div_bound
             )
             assert chk.passed
             lhss.append(chk.lhs)

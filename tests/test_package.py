@@ -1,11 +1,13 @@
-"""Package hygiene: every module uses each name it imports."""
+"""Package hygiene: every module uses each name it imports, and every public
+definition is referenced somewhere in the package or its tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "masschase"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "masschase"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,3 +56,45 @@ def test_the_check_sees_an_unused_import():
         "    return None\n"
     )
     assert _imported(tree) - _used(tree) == {"Callable", "np"}
+
+
+def _public_definitions(tree: ast.Module) -> "set[str]":
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _referenced(trees) -> "set[str]":
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_public_definition_is_referenced():
+    # the package's own re-exports in __init__.py do not count as a use
+    sources = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    tests = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(TESTS.glob("*.py"))]
+    defined = set().union(*map(_public_definitions, sources))
+    assert sorted(defined - _referenced(sources + tests)) == []
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    module = ast.parse(
+        "class Used:\n    pass\n"
+        "def called():\n    return Used()\n"
+        "def imported():\n    pass\n"
+        "def dead():\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    test = ast.parse("from m import imported\nimport m\nm.called()\n")
+    assert _public_definitions(module) - _referenced([module, test]) == {"dead"}
