@@ -63,7 +63,6 @@ from .game import (
     extract_strategy,
     simulate_play,
     solve_values,
-    translate_density,
 )
 from .grid import (
     DensityGrid,

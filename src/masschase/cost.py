@@ -13,7 +13,7 @@ alone, never on the densities or the time, and are evaluated in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -117,6 +117,46 @@ def final_cost(fc: FinalCost, mX: DensityGrid, mY: DensityGrid) -> float:
     raise TypeError(f"unknown final cost {fc!r}")
 
 
+def relative_final_cost(
+    fc: FinalCost, mX: DensityGrid, mY: DensityGrid
+) -> "Callable[[np.ndarray], np.ndarray]":
+    """The final cost of rigid translates as a function of their relative shift.
+
+    Translating mX by hX and mY by hY changes every built-in final cost only
+    through z = hX - hY, so the returned g evaluates it at an array of z
+    without translating either density:
+
+    - ``MeanDiffSquared``: (muX - muY + z)^2;
+    - ``WindowDiffSquared``: (W_Y(muX + z) - W_X(muY - z))^2, where W is
+      ``window_integral`` of the untranslated density over [c - delta, c + delta];
+    - ``Overlap``: the Simpson sum of mX against mY sampled linearly at x + z,
+      zero outside the domain. That is the linear interpolant of the
+      correlation of the node values at whole-node shifts, computed once.
+
+    At a shift by an even whole number of nodes, where translation is exact
+    and Simpson's rule shift-invariant, g agrees with ``final_cost`` of the
+    translates to roundoff.
+    """
+    if isinstance(fc, MeanDiffSquared):
+        gap = mean(mX) - mean(mY)
+        return lambda z: (gap + z) ** 2
+    require_same_grid(mX, mY)
+    if isinstance(fc, WindowDiffSquared):
+        mu_x, mu_y, d = mean(mX), mean(mY), fc.delta
+        return np.vectorize(
+            lambda z: (window_integral(mY, mu_x + z - d, mu_x + z + d)
+                       - window_integral(mX, mu_y - z - d, mu_y - z + d)) ** 2,
+            otypes=[float],
+        )
+    if isinstance(fc, Overlap):
+        n = mX.n_cells
+        # corr[k + n] = sum_i w_i mX_i mY_{i+k}, the overlap at a shift of k nodes
+        corr = np.correlate(mY.values, simpson_weights(n) * mX.values, "full") * mX.dx
+        lags = np.arange(-n, n + 1, dtype=float)
+        return lambda z: np.interp(z / mX.dx, lags, corr, left=0.0, right=0.0)
+    raise TypeError(f"unknown final cost {fc!r}")
+
+
 def _field_l2sq(f: ControlField, tube: "tuple[float, float]") -> float:
     """Exact integral of f(x)^2 over the tube.
 
@@ -184,21 +224,30 @@ class CostModulus:
         return [(e, self.envelope(e)) for e in eps_sorted]
 
 
-def evaluate_J(spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule) -> float:
-    """Total cost of a pair of schedules: integrated running cost plus final cost.
+def running_cost_integral(
+    spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule
+) -> float:
+    """Integral of the running cost over [t0, T] along a pair of schedules.
 
     Both schedules are piecewise constant in time and the running cost
-    depends on the controls alone, so its integral is an exact sum over the
+    depends on the controls alone, so the integral is an exact sum over the
     merged breakpoints of the two schedules, each piece charged to the fields
-    active inside it. Each density is drift-diffused once over [t0, T].
+    active inside it.
     """
     t0, T = spec.t0, spec.T
     inner = {s for s in alpha.breakpoints + beta.breakpoints if t0 < s < T}
     cuts = [t0, *sorted(inner), T]
-    integral = sum(
+    return sum(
         (s1 - s0) * running_cost(spec.rc, alpha.field_at(s0), beta.field_at(s0), spec.tube)
         for s0, s1 in zip(cuts, cuts[1:])
     )
-    mX = drift_diffuse(spec.mX0, alpha, spec.sigma, t0, T)
-    mY = drift_diffuse(spec.mY0, beta, spec.sigma, t0, T)
-    return integral + final_cost(spec.fc, mX, mY)
+
+
+def evaluate_J(spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule) -> float:
+    """Total cost of a pair of schedules: integrated running cost plus final cost.
+
+    Each density is drift-diffused once over [t0, T].
+    """
+    mX = drift_diffuse(spec.mX0, alpha, spec.sigma, spec.t0, spec.T)
+    mY = drift_diffuse(spec.mY0, beta, spec.sigma, spec.t0, spec.T)
+    return running_cost_integral(spec, alpha, beta) + final_cost(spec.fc, mX, mY)

@@ -160,7 +160,8 @@ class TabulatedCandidate:
     value. The linear representer (dV/dh) * x reproduces exactly that
     pairing. Time derivatives come from one-sided level differencing, so
     residuals of an unconverged table are O(dt) by construction: they are
-    meant to be reported, not asserted small.
+    meant to be reported, not asserted small. Where a shift the differences
+    read is not valid at the level, ``value_at`` raises BoxOverflow.
     """
 
     def __init__(self, table, spec, use_lower: bool = True):

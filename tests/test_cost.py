@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masschase.controls import Affine, Constant, ControlSchedule, Scatter, standard_dictionary
 from masschase.cost import (
@@ -11,17 +12,20 @@ from masschase.cost import (
     CostModulus,
     MeanDiffSquared,
     Overlap,
+    WindowDiffSquared,
     ZeroRunningCost,
     evaluate_J,
+    final_cost,
     psi1,
     psi2,
     psi3,
+    relative_final_cost,
     running_cost,
 )
 from masschase.errors import GridMismatch, ZeroMass
 from masschase.game import GameSpec
 from masschase.grid import DensityGrid, h1_norm, GradientGrid, lp_norm, mean, total_mass
-from masschase.scenarios import bump_profile, make_bump
+from masschase.scenarios import bump_profile, make_bump, oracle_quadrature_overlap
 
 from conftest import random_bump_pair
 
@@ -201,6 +205,64 @@ class TestPsi3TranslationCovariance:
         mX_shift = push_forward(mX, sched, 0.0, T)
         expected = (mean(mX) + h - mean(mY)) ** 2
         assert psi3(mX_shift, mY) == pytest.approx(expected, abs=1e-5)
+
+
+def _node_shift(m: DensityGrid, k: int) -> DensityGrid:
+    """The exact translate of m by k whole nodes; the support must stay inside."""
+    v = np.zeros_like(m.values)
+    if k >= 0:
+        v[k:] = m.values[: v.size - k]
+    else:
+        v[:k] = m.values[-k:]
+    return m.with_values(v)
+
+
+class TestRelativeFinalCost:
+    """The final cost of two translates as a function of their relative shift."""
+
+    @pytest.mark.parametrize(
+        "fc", (Overlap(), MeanDiffSquared(), WindowDiffSquared(0.4)), ids=lambda fc: type(fc).__name__
+    )
+    @given(
+        gap=st.floats(-1.2, 1.2),
+        radius=st.floats(0.3, 0.7),
+        kx=st.integers(-30, 30),
+        ky=st.integers(-30, 30),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_final_cost_of_even_node_translates(self, fc, gap, radius, kx, ky):
+        # at even whole-node shifts translation is exact and Simpson's rule
+        # shift-invariant, so the two agree to roundoff
+        mX = make_bump(-3.0, 3.0, 256, -gap / 2, radius)
+        mY = make_bump(-3.0, 3.0, 256, gap / 2, radius)
+        z = 2 * (kx - ky) * mX.dx
+        ref = final_cost(fc, _node_shift(mX, 2 * kx), _node_shift(mY, 2 * ky))
+        g = relative_final_cost(fc, mX, mY)
+        assert float(g(z)) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_mean_gap_is_the_closed_form(self):
+        mX = make_bump(-3.0, 3.0, 512, -0.2, 0.7)
+        mY = make_bump(-3.0, 3.0, 512, 0.15, 0.6)
+        z = np.linspace(-1.0, 1.0, 21)
+        g = relative_final_cost(MeanDiffSquared(), mX, mY)
+        # Simpson's means of the quartic bumps; measured worst 1.7e-6
+        assert np.max(np.abs(g(z) - (-0.35 + z) ** 2)) <= 2e-6
+
+    def test_overlap_matches_the_quadrature_oracle(self):
+        # half-cell offsets put mY's linear sampling where it errs most;
+        # measured worst 2.1e-5
+        mX = make_bump(-1.65, 1.65, 512, -0.2, 0.7)
+        mY = make_bump(-1.65, 1.65, 512, 0.2, 0.7)
+        g = relative_final_cost(Overlap(), mX, mY)
+        for z in np.linspace(-1.0, 1.0, 9) + 0.5 * mX.dx:
+            ref = oracle_quadrature_overlap((-0.2 + z, 0.2), (0.7, 0.7))
+            assert float(g(z)) == pytest.approx(ref, abs=2.5e-5)
+
+    def test_overlap_needs_a_common_grid(self):
+        with pytest.raises(GridMismatch):
+            relative_final_cost(
+                Overlap(), make_bump(-2.0, 2.0, 512, 0.0, 0.5), make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+            )
 
 
 class TestCostModulus:

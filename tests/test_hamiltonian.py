@@ -7,6 +7,7 @@ import pytest
 
 from masschase.controls import Constant, standard_dictionary
 from masschase.cost import ZeroRunningCost
+from masschase.errors import BoxOverflow
 from masschase.grid import DensityGrid, GradientGrid, lp_norm, mean, total_mass
 from masschase.hamiltonian import (
     Psi1Analytic,
@@ -186,7 +187,8 @@ class TestIsaacsResidual:
             worst = max(worst, abs(r))
         assert worst <= 1e-5
 
-    def test_tabulated_candidate_residual_is_reported_not_asserted(self):
+    @staticmethod
+    def _tabulated():
         from masschase.cost import MeanDiffSquared
         from masschase.game import GameSpec, solve_values
 
@@ -198,12 +200,24 @@ class TestIsaacsResidual:
             T=0.5, t0=0.0, n_steps=8, mX0=mX, mY0=mY, dictA=d, dictB=d,
             rc=ZERO, fc=MeanDiffSquared(), reduced=True,
         )
-        table = solve_values(spec)
-        cand = TabulatedCandidate(table, spec)
+        return TabulatedCandidate(solve_values(spec), spec), mX, mY, d
+
+    def test_tabulated_candidate_residual_is_reported_not_asserted(self):
+        cand, mX, mY, d = self._tabulated()
         r = isaacs_residual(cand, mX, mY, 0.1, d, d, ZERO)
         # order-dt defect of the discrete table; magnitude only sanity-checked
         assert np.isfinite(r)
         assert abs(r) <= 1.0
+
+    def test_tabulated_candidate_names_a_gradient_outside_the_valid_range(self):
+        # at t = 0 only z = 0 is valid, so the centred difference in the
+        # shift reads nodes the recursion never reached
+        cand, mX, mY, d = self._tabulated()
+        for grad in (cand.grad_x, cand.grad_y):
+            with pytest.raises(BoxOverflow, match="level 0: shift z = "):
+                grad(mX, mY, 0.0)
+        with pytest.raises(BoxOverflow):
+            isaacs_residual(cand, mX, mY, 0.0, d, d, ZERO)
 
 
 class TestContinuityGap:

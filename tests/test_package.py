@@ -88,6 +88,45 @@ def test_every_public_definition_is_referenced():
     assert sorted(defined - _referenced(sources + tests)) == []
 
 
+def _public_methods(tree: ast.Module) -> "set[tuple[str, str]]":
+    return {
+        (cls.name, node.name)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _attributes(trees) -> "set[str]":
+    return {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_every_public_method_is_referenced():
+    # a method is used only through an attribute access, obj.name
+    sources = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    tests = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(TESTS.glob("*.py"))]
+    used = _attributes(sources + tests)
+    methods = set().union(*map(_public_methods, sources))
+    assert sorted(f"{c}.{m}" for c, m in methods if m not in used) == []
+
+
+def test_the_check_sees_an_unreferenced_method():
+    module = ast.parse(
+        "class A:\n"
+        "    def used(self):\n        return self.prop\n"
+        "    @property\n    def prop(self):\n        return 1\n"
+        "    def dead(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "def dead2():\n    pass\n"
+    )
+    test = ast.parse("from m import A\nA().used()\ndead = 1\n")
+    methods = _public_methods(module)
+    assert methods == {("A", "used"), ("A", "prop"), ("A", "dead")}
+    assert {m for _, m in methods} - _attributes([module, test]) == {"dead"}
+
+
 def test_the_check_sees_an_unreferenced_definition():
     module = ast.parse(
         "class Used:\n    pass\n"
