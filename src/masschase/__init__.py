@@ -14,14 +14,11 @@ from .controls import (
     ControlDictionary,
     ControlSchedule,
     Scatter,
-    eval_field,
     schedule_from_sequence,
     standard_dictionary,
-    validate_admissible,
 )
 from .cost import (
     ControlEffort,
-    CostModulus,
     MeanDiffSquared,
     Overlap,
     WindowDiffSquared,
@@ -43,31 +40,22 @@ from .errors import (
     ZeroMass,
 )
 from .flow import (
-    SupportTube,
     drift_diffuse,
-    integrate_flow,
-    inverse_flow,
     push_forward,
-    solve_continuity,
-    support_tube,
-    verify_invariant_set,
 )
 from .game import (
-    FeedbackStrategy,
     GameSpec,
     PlayResult,
     ValueTable,
     advance_reduced,
     brute_force_value,
     dpp_residual,
-    extract_strategy,
     simulate_play,
     solve_values,
 )
 from .grid import (
     DensityGrid,
     GradientGrid,
-    lp_norm,
     mean,
     sample_at,
     total_mass,
@@ -77,7 +65,6 @@ from .hamiltonian import (
     Psi1Analytic,
     Psi3Analytic,
     TabulatedCandidate,
-    continuity_gap_check,
     hamiltonian_minmax,
     isaacs_residual,
     transport_pairing,

@@ -6,7 +6,7 @@ where clipping stays inactive in the canonical scenarios. Every kind is a
 clipped affine map ``clip(slope * x + intercept, -clip, clip)`` and reports
 that ``(slope, intercept, clip)`` triple as ``clipped_affine``, so the flow
 module solves characteristics in closed form without knowing any field's
-formula. Each kind also exposes its analytic spatial derivative.
+formula.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class Constant:
     def value(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c)
 
-    def derivative(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     sup_norm = property(lambda self: abs(self.c))
     div_sup = property(lambda self: 0.0)
     clipped_affine = property(lambda self: (0.0, self.c, abs(self.c)))
@@ -39,7 +36,7 @@ class Constant:
 
 @dataclass(frozen=True)
 class Affine:
-    """``slope * x + intercept`` clipped to [-clip, clip]; derivative 0 where clipped."""
+    """``slope * x + intercept`` clipped to [-clip, clip]."""
 
     slope: float
     intercept: float
@@ -51,10 +48,6 @@ class Affine:
 
     def value(self, x):
         return np.clip(self.slope * np.asarray(x, dtype=float) + self.intercept, -self.clip, self.clip)
-
-    def derivative(self, x):
-        raw = self.slope * np.asarray(x, dtype=float) + self.intercept
-        return np.where(np.abs(raw) < self.clip, self.slope, 0.0)
 
     sup_norm = property(lambda self: self.clip)
     div_sup = property(lambda self: abs(self.slope))
@@ -69,7 +62,7 @@ class Scatter:
     """Spreading field: -c left of xi1, +c right of xi2, linear in between.
 
     Only piecewise-linear in space (W1inf, not W2inf): its divergence jumps at
-    the two joints, which the admissibility validator reports as a warning.
+    the two joints.
     """
 
     xi1: float
@@ -86,11 +79,6 @@ class Scatter:
         t = np.clip((np.asarray(x, dtype=float) - self.xi1) / (self.xi2 - self.xi1), 0.0, 1.0)
         return -self.c + 2.0 * self.c * t
 
-    def derivative(self, x):
-        xa = np.asarray(x, dtype=float)
-        inside = (xa > self.xi1) & (xa < self.xi2)
-        return np.where(inside, 2.0 * self.c / (self.xi2 - self.xi1), 0.0)
-
     sup_norm = property(lambda self: self.c)
     div_sup = property(lambda self: 2.0 * self.c / (self.xi2 - self.xi1))
 
@@ -106,23 +94,6 @@ class Scatter:
 ControlField = Union[Constant, Affine, Scatter]
 
 
-def eval_field(f: ControlField, x, want_derivative: bool = False):
-    """Evaluate a field (and optionally its analytic spatial derivative) at ``x``.
-
-    Scalars in, scalars out; arrays in, arrays out.
-    """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    v = f.value(x)
-    if scalar:
-        v = float(v)
-    if not want_derivative:
-        return v
-    d = f.derivative(x)
-    if scalar:
-        d = float(d)
-    return v, d
-
-
 @dataclass(frozen=True)
 class AdmissibilityBounds:
     """The single bound M applied to sup-norm, H1 norm, and divergence norm."""
@@ -132,66 +103,6 @@ class AdmissibilityBounds:
     def __post_init__(self) -> None:
         if self.M <= 0:
             raise ValueError("admissibility bound M must be positive")
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Measured field norms over a bounded domain plus per-constraint verdicts."""
-
-    sup_norm: float
-    h1_norm: float
-    div_sup: float
-    div_lipschitz: float
-    passes: dict
-    warnings: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.passes.values())
-
-
-def validate_admissible(
-    f: ControlField,
-    bounds: AdmissibilityBounds,
-    domain: "tuple[float, float]",
-    n_probe: int = 256,
-) -> AdmissibilityReport:
-    """Probe a field against the admissibility bounds over a bounded interval.
-
-    The H1 norm is computed over the probe domain only (a nonzero constant
-    field has infinite H1 norm over the whole line; the game only ever sees
-    the field on the support tube). The divergence Lipschitz estimate is a
-    finite-difference probe: for piecewise-linear kinds whose divergence
-    jumps, the estimate diverges with probe resolution and is reported as a
-    smoothness warning rather than a failure of the divergence bound.
-    """
-    if n_probe < 2:
-        raise ValueError("need at least 2 probe points")
-    lo, hi = domain
-    xs = np.linspace(lo, hi, n_probe)
-    h = xs[1] - xs[0]
-    v, d = eval_field(f, xs, want_derivative=True)
-    sup = float(np.max(np.abs(v)))
-    # trapezoid is plenty for a report-level norm probe
-    h1 = float(np.sqrt(np.trapezoid(v * v + d * d, xs)))
-    div_sup = float(np.max(np.abs(d)))
-    div_lip = float(np.max(np.abs(np.diff(d))) / h)
-
-    warnings = []
-    smooth = isinstance(f, Constant)
-    if not smooth:
-        warnings.append(
-            f"{f.describe()}: divergence is discontinuous at the joints; "
-            "field is W1inf but not W2inf"
-        )
-    passes = {
-        "sup_norm": sup <= bounds.M + 1e-12,
-        "h1_norm": h1 <= bounds.M + 1e-12,
-        # the W1inf divergence bound; the Lipschitz part only constrains
-        # smooth kinds, piecewise-linear kinds carry the warning instead
-        "div_w1inf": (div_sup + (0.0 if not smooth else div_lip)) <= bounds.M + 1e-12,
-    }
-    return AdmissibilityReport(sup, h1, div_sup, div_lip, passes, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -225,11 +136,6 @@ class ControlDictionary:
     @property
     def max_speed(self) -> float:
         return max(f.sup_norm for f in self.fields)
-
-    @property
-    def div_bound(self) -> float:
-        """Largest divergence sup-norm over the dictionary."""
-        return max(f.div_sup for f in self.fields)
 
     def all_constant(self) -> bool:
         return all(isinstance(f, Constant) for f in self.fields)
@@ -291,12 +197,6 @@ class ControlSchedule:
         i = int(np.searchsorted(np.asarray(self.breakpoints), t, side="right")) - 1
         return self.fields[min(i, len(self.fields) - 1)]
 
-    def value(self, x, t: float):
-        return self.field_at(t).value(x)
-
-    def derivative(self, x, t: float):
-        return self.field_at(t).derivative(x)
-
     def segments(self, t0: float, t1: float):
         """Yield (s0, s1, field) pieces covering [t0, t1] with constant field each."""
         if t1 < t0:
@@ -308,10 +208,6 @@ class ControlSchedule:
         cuts = [t0] + [b for b in bp if t0 < b < t1] + [t1]
         for s0, s1 in zip(cuts, cuts[1:]):
             yield s0, s1, self.field_at(s0)
-
-    @property
-    def max_speed(self) -> float:
-        return max(f.sup_norm for f in self.fields)
 
     @classmethod
     def constant(cls, f: ControlField, t0: float, t1: float) -> "ControlSchedule":

@@ -202,28 +202,6 @@ def running_cost_matrix(
     return np.array([[running_cost(rc, a, b, tube) for a in dictA.fields] for b in dictB.fields])
 
 
-@dataclass(frozen=True)
-class CostModulus:
-    """Empirical continuity-modulus samples: (input distance, output distance)."""
-
-    samples: "tuple[tuple[float, float], ...]" = ()
-
-    def record(self, d_in: float, d_out: float) -> "CostModulus":
-        if d_in < 0 or d_out < 0:
-            raise ValueError("distances must be nonnegative")
-        return CostModulus(self.samples + ((d_in, d_out),))
-
-    def envelope(self, eps: float) -> float:
-        """Largest observed output distance among inputs at distance <= eps."""
-        vals = [o for i, o in self.samples if i <= eps]
-        return max(vals) if vals else 0.0
-
-    def envelope_curve(self) -> "list[tuple[float, float]]":
-        """The (eps, envelope(eps)) curve at the observed input distances."""
-        eps_sorted = sorted({i for i, _ in self.samples})
-        return [(e, self.envelope(e)) for e in eps_sorted]
-
-
 def running_cost_integral(
     spec: "GameSpec", alpha: ControlSchedule, beta: ControlSchedule
 ) -> float:

@@ -19,49 +19,11 @@ is no time step and no stability limit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .controls import Constant, ControlSchedule
 from .errors import MassChaseError, NotReduced, TubeOverflow
-from .grid import (
-    DensityGrid,
-    GradientGrid,
-    h1_norm,
-    lp_norm,
-    sample_at,
-    support_interval,
-    total_mass,
-)
-
-
-@dataclass(frozen=True)
-class SupportTube:
-    """Base support interval and the speed bound that inflates it over time."""
-
-    omega_lo: float
-    omega_hi: float
-    M: float
-
-    def __post_init__(self) -> None:
-        if not self.omega_lo < self.omega_hi:
-            raise ValueError("need omega_lo < omega_hi")
-        if self.M <= 0:
-            raise ValueError("speed bound M must be positive")
-
-
-def support_tube(tube: SupportTube, t: float, s: float) -> "tuple[float, float]":
-    """The inflated support interval at time s.
-
-    By the semigroup property the tube reached at time s does not depend on
-    the intermediate time t at which the evolution restarted, only on s.
-    """
-    if not 0.0 <= t <= s:
-        raise ValueError(f"need 0 <= t <= s, got t={t}, s={s}")
-    return tube.omega_lo - tube.M * s, tube.omega_hi + tube.M * s
+from .grid import DensityGrid, sample_at, support_interval
 
 
 def _exact_piece(
@@ -125,20 +87,6 @@ def flow_arrays(
     return y, J
 
 
-def integrate_flow(
-    schedule: ControlSchedule, x: float, t0: float, t1: float
-) -> "tuple[float, float]":
-    """Forward characteristic position and Jacobian from a single point."""
-    y, J = flow_arrays(schedule, np.array([x], dtype=float), t0, t1)
-    return float(y[0]), float(J[0])
-
-
-def inverse_flow(schedule: ControlSchedule, x: float, t0: float, t1: float) -> float:
-    """Backward-flowed foot point satisfying Phi(foot, t0, t1) = x."""
-    y, _ = flow_arrays(schedule, np.array([x], dtype=float), t0, t1, backward=True)
-    return float(y[0])
-
-
 def _support_envelope(
     schedule: ControlSchedule, slo: float, shi: float, t0: float, t1: float
 ) -> "tuple[float, float]":
@@ -194,139 +142,6 @@ def push_forward(
     values[0] = 0.0
     values[-1] = 0.0
     return DensityGrid(m0.lo, m0.hi, values)
-
-
-def solve_continuity(
-    m0: DensityGrid,
-    schedule: ControlSchedule,
-    t0: float,
-    snapshot_times: Sequence[float],
-) -> "list[DensityGrid]":
-    """Density snapshots of the transport Cauchy problem at the given times."""
-    times = list(snapshot_times)
-    if any(s1 < s0 for s0, s1 in zip(times, times[1:])):
-        raise ValueError("snapshot times must be sorted ascending")
-    if times and times[0] < t0:
-        raise ValueError("snapshot times must not precede t0")
-    return [m0 if s == t0 else push_forward(m0, schedule, t0, s) for s in times]
-
-
-@dataclass(frozen=True)
-class InvariantCheckEntry:
-    schedule_index: int
-    time: float
-    support: "tuple[float, float] | None"
-    tube: "tuple[float, float]"
-    support_ok: bool
-    w1inf: float
-    norm_ok: bool
-    mass_drift: float
-
-
-@dataclass(frozen=True)
-class InvariantSetReport:
-    """Outcome of the invariant-set verification sweep.
-
-    Violations are recorded, not raised: the report is the product.
-    """
-
-    bound: float
-    entries: "tuple[InvariantCheckEntry, ...]"
-    h1_ratios: "tuple[float, ...]"
-    ratio_bound: "float | None"
-
-    @property
-    def all_support_ok(self) -> bool:
-        return all(e.support_ok for e in self.entries)
-
-    @property
-    def all_norm_ok(self) -> bool:
-        return all(e.norm_ok for e in self.entries)
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.h1_ratios) if self.h1_ratios else 0.0
-
-    @property
-    def ratios_ok(self) -> bool:
-        if self.ratio_bound is None:
-            return True
-        return self.max_ratio <= self.ratio_bound
-
-    @property
-    def all_pass(self) -> bool:
-        return self.all_support_ok and self.all_norm_ok and self.ratios_ok
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bound": self.bound,
-                "all_pass": self.all_pass,
-                "max_h1_ratio": self.max_ratio,
-                "ratio_bound": self.ratio_bound,
-                "entries": [
-                    {
-                        "schedule": e.schedule_index,
-                        "time": e.time,
-                        "support": e.support,
-                        "tube": e.tube,
-                        "support_ok": e.support_ok,
-                        "w1inf": e.w1inf,
-                        "norm_ok": e.norm_ok,
-                        "mass_drift": e.mass_drift,
-                    }
-                    for e in self.entries
-                ],
-            },
-            indent=2,
-        )
-
-
-def verify_invariant_set(
-    m0: DensityGrid,
-    schedules: Sequence[ControlSchedule],
-    tube: SupportTube,
-    bound: float,
-    check_times: Sequence[float],
-    pairs: "Sequence[tuple[DensityGrid, DensityGrid]] | None" = None,
-    ratio_bound: "float | None" = None,
-) -> InvariantSetReport:
-    """Check support containment and the uniform W1inf bound along evolutions.
-
-    For each schedule and check time: is the transported support inside the
-    inflated tube (up to one cell of slack), and is the W1inf norm below the
-    caller-supplied bound? For each supplied density pair, the H1 stability
-    ratio of the transported pair over the initial pair is measured at the
-    final check time; ratios are recorded and only compared against a bound
-    if the caller gives one, since no universal constant is prescribed.
-    """
-    entries = []
-    mass0 = total_mass(m0)
-    for si, sched in enumerate(schedules):
-        snaps = solve_continuity(m0, sched, 0.0, sorted(check_times))
-        for s, m_s in zip(sorted(check_times), snaps):
-            supp = support_interval(m_s)
-            t_lo, t_hi = support_tube(tube, 0.0, s)
-            ok = supp is None or (supp[0] >= t_lo - m0.dx and supp[1] <= t_hi + m0.dx)
-            w = lp_norm(m_s, "W1inf")
-            drift = abs(total_mass(m_s) - mass0) / mass0 if mass0 > 0 else 0.0
-            entries.append(
-                InvariantCheckEntry(si, s, supp, (t_lo, t_hi), ok, w, w <= bound, drift)
-            )
-    ratios = []
-    if pairs:
-        s_final = max(check_times)
-        for m1, m2 in pairs:
-            d0 = GradientGrid(m1.lo, m1.hi, m1.values - m2.values)
-            denom = h1_norm(d0)
-            if denom == 0.0:
-                continue
-            for sched in schedules:
-                n1 = push_forward(m1, sched, 0.0, s_final)
-                n2 = push_forward(m2, sched, 0.0, s_final)
-                d1 = GradientGrid(m1.lo, m1.hi, n1.values - n2.values)
-                ratios.append(h1_norm(d1) / denom)
-    return InvariantSetReport(bound, tuple(entries), tuple(ratios), ratio_bound)
 
 
 def _heat_step(m: DensityGrid, s: float) -> DensityGrid:

@@ -18,8 +18,8 @@ cells; then every advance reads the next level at a whole-node shift. If no
 such q exists, q = 1 and advances interpolate linearly between the two
 neighbouring nodes. Level k is valid on |m| <= k * R, the reach of k steps
 from the origin, with R the widest one-step advance in cells; the terminal
-level is the final cost at every node. One step kernel serves the solver,
-the strategy extraction and the DPP residual.
+level is the final cost at every node. One step kernel serves the solver and
+the DPP residual.
 
 ``ValueTable`` also shows U on the offset plane: ``lower[k, i, j]`` is
 ``U_lower[k]`` at z = hx[i] - hy[j], a read-only strided view, with the
@@ -44,7 +44,7 @@ from .cost import (
     running_cost_integral,
     running_cost_matrix,
 )
-from .errors import BoxOverflow, NotReduced, TooDeep, TubeOverflow
+from .errors import BoxOverflow, TooDeep, TubeOverflow
 from .flow import drift_diffuse
 from .grid import DensityGrid, support_interval
 
@@ -55,9 +55,9 @@ _MAX_Q = 16  # the finest lattice refinement tried before advances interpolate
 class GameSpec:
     """One full game instance.
 
-    ``reduced`` asserts that all dictionary fields are constant so the
-    translation reduction applies; shape-changing fields can only be played
-    through explicit schedules and cost evaluation, not value iteration.
+    Every dictionary field must be ``Constant``, so the translation reduction
+    applies; shape-changing fields can only be played through explicit
+    schedules and ``evaluate_J``, not value iteration.
     """
 
     T: float
@@ -70,7 +70,6 @@ class GameSpec:
     rc: RunningCost
     fc: FinalCost
     sigma: float = 0.0
-    reduced: bool = True
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
@@ -79,7 +78,7 @@ class GameSpec:
             raise ValueError("sigma must be >= 0")
         if not self.T > self.t0:
             raise ValueError("need T > t0")
-        if self.reduced and not (self.dictA.all_constant() and self.dictB.all_constant()):
+        if not (self.dictA.all_constant() and self.dictB.all_constant()):
             raise ValueError("reduced game requires constant-only dictionaries")
 
     @property
@@ -100,8 +99,6 @@ def advance_reduced(
     hX: float, hY: float, a_index: int, b_index: int, spec: GameSpec, dt: float
 ) -> "tuple[float, float]":
     """One translation step under the chosen constant fields."""
-    if not spec.reduced:
-        raise NotReduced("advance_reduced requires a reduced game")
     if dt <= 0:
         raise ValueError("dt must be positive")
     return hX + spec.dictA[a_index].c * dt, hY + spec.dictB[b_index].c * dt
@@ -210,11 +207,15 @@ class ValueTable:
         """Linear interpolation of U at z = hX - hY; exact on lattice nodes.
 
         Shifts within 1e-9 cells of a node snap onto it, and only nodes of
-        nonzero weight are read. Raises BoxOverflow, naming the level and the
-        shift, when a node it reads is not valid at that level.
+        nonzero weight are read. Raises ValueError for a level outside
+        [0, n_steps], and BoxOverflow, naming the level and the shift, when a
+        node it reads is not valid at that level.
         """
         if which not in ("lower", "upper"):
             raise ValueError("which must be 'lower' or 'upper'")
+        n_steps = self.U_lower.shape[0] - 1
+        if not 0 <= level <= n_steps:
+            raise ValueError(f"level must be in [0, {n_steps}], got {level}")
         U = (self.U_lower if which == "lower" else self.U_upper)[level]
         z = hX - hY
         i, f = _split(z, self.dz)
@@ -228,19 +229,6 @@ class ValueTable:
         if f == 0.0:
             return float(U[half + i])
         return float((1.0 - f) * U[half + i] + f * U[half + i + 1])
-
-
-@dataclass(frozen=True)
-class FeedbackStrategy:
-    """Per-level argmax/argmin picks of the lower recursion on the z lattice.
-
-    ``a_index[k, m]`` and ``b_index[k, m]`` are the picks at z[m]; -1 where
-    level k is not valid.
-    """
-
-    z: np.ndarray
-    a_index: np.ndarray
-    b_index: np.ndarray
 
 
 def _prediffused(spec: GameSpec) -> "tuple[DensityGrid, DensityGrid]":
@@ -335,8 +323,6 @@ def solve_values(spec: GameSpec) -> ValueTable:
     The terminal level is the final cost at every lattice node; level k is
     then computed on the nodes k steps can reach from the origin.
     """
-    if not spec.reduced:
-        raise NotReduced("solve_values requires a reduced game")
     n, dt = spec.n_steps, spec.dt
     dz, R = _lattice(spec)
     half = n * R
@@ -370,31 +356,6 @@ def solve_values(spec: GameSpec) -> ValueTable:
                       hx=hx, hy=hy, valid=valid)
 
 
-def _level_candidates(step: _Step, table: ValueTable, k: int):
-    """The lower recursion's candidates at level k and the node range they cover."""
-    half = (table.U_lower.shape[1] - 1) // 2
-    r = int(table.reach[k])
-    cands = step.candidates(table.U_lower[k + 1], int(table.reach[k + 1]), r)
-    return cands, slice(half - r, half + r + 1)
-
-
-def extract_strategy(spec: GameSpec, table: ValueTable) -> FeedbackStrategy:
-    """Argmax-b / argmin-a picks of the lower recursion, per level and lattice node."""
-    if not spec.reduced:
-        raise NotReduced("extract_strategy requires a reduced game")
-    shape = (spec.n_steps, table.U_lower.shape[1])
-    a_idx = np.full(shape, -1, dtype=int)
-    b_idx = np.full(shape, -1, dtype=int)
-    step = _Step.of(spec, table.dz)
-    for k in range(spec.n_steps):
-        cands, rows = _level_candidates(step, table, k)
-        bk = cands.min(axis=1).argmax(axis=0)
-        picked = np.take_along_axis(cands, bk[None, None], axis=0)[0]  # (na, nodes)
-        a_idx[k, rows] = picked.argmin(axis=0)
-        b_idx[k, rows] = bk
-    return FeedbackStrategy(z=table.z, a_index=a_idx, b_index=b_idx)
-
-
 def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:
     """Max mismatch between level k and a recomputed one-step lower recursion.
 
@@ -403,8 +364,10 @@ def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:
     """
     if not 0 <= k < spec.n_steps:
         raise ValueError(f"level k must be in [0, {spec.n_steps}), got {k}")
-    cands, rows = _level_candidates(_Step.of(spec, table.dz), table, k)
-    return float(np.max(np.abs(_lower_step(cands) - table.U_lower[k, rows])))
+    half = (table.U_lower.shape[1] - 1) // 2
+    r = int(table.reach[k])
+    cands = _Step.of(spec, table.dz).candidates(table.U_lower[k + 1], int(table.reach[k + 1]), r)
+    return float(np.max(np.abs(_lower_step(cands) - table.U_lower[k, half - r:half + r + 1])))
 
 
 def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float]":
@@ -417,8 +380,6 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
     recursion (optimization order, advances and running costs) and the
     final cost has oracles of its own.
     """
-    if not spec.reduced:
-        raise NotReduced("brute_force_value requires a reduced game")
     if spec.n_steps > max_steps:
         raise TooDeep(f"n_steps={spec.n_steps} exceeds the brute-force cap {max_steps}")
 
@@ -477,8 +438,6 @@ def simulate_play(spec: GameSpec, table: ValueTable) -> PlayResult:
     advance is an even whole number of density cells it also equals
     ``evaluate_J`` of the played schedules.
     """
-    if not spec.reduced:
-        raise NotReduced("simulate_play requires a reduced game")
     dt = spec.dt
     ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
     hX, hY = 0.0, 0.0

@@ -1,4 +1,4 @@
-"""Spatial discretization, quadrature, interpolation, and norms for 1-D densities.
+"""Spatial discretization, quadrature, and interpolation for 1-D densities.
 
 Densities are sampled at the ``n_cells + 1`` nodes of a uniform grid on
 ``[lo, hi]`` and extended by zero outside. Node values at both endpoints must
@@ -10,16 +10,11 @@ inside. Quadrature is composite Simpson, hence ``n_cells`` must be even.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ZeroMass
-
-#: Recognized norm selectors for :func:`lp_norm`.
-NORM_KINDS = ("L2", "H1_seminorm", "W1inf")
-
 
 def simpson_weights(n_cells: int) -> np.ndarray:
     """Composite Simpson weights for ``n_cells + 1`` nodes (without the dx factor)."""
@@ -119,9 +114,6 @@ class DensityGrid(GradientGrid):
         if v[0] != 0.0 or v[-1] != 0.0:
             raise ValueError("density must vanish at both endpoint nodes (compact support)")
 
-    def with_values(self, values: np.ndarray) -> "DensityGrid":
-        return DensityGrid(self.lo, self.hi, values)
-
     @classmethod
     def from_callable(
         cls,
@@ -163,29 +155,6 @@ def mean(m: DensityGrid) -> float:
     return float(np.dot(simpson_weights(m.n_cells), m.x * m.values) * m.dx)
 
 
-def lp_norm(m: GradientGrid, which: str) -> float:
-    """Norm of the node data: ``L2``, ``H1_seminorm``, or ``W1inf``.
-
-    The derivative entering the H1 seminorm and the W1inf norm is
-    :func:`simpson_sbp_diff`, the partner of the Simpson norm. W1inf is
-    ``max |values| + max |derivative|``.
-    """
-    if which not in NORM_KINDS:
-        raise ValueError(f"unknown norm {which!r}; expected one of {NORM_KINDS}")
-    v = m.values
-    if which == "L2":
-        return float(np.sqrt(np.dot(simpson_weights(m.n_cells), v * v) * m.dx))
-    d = simpson_sbp_diff(v, m.dx)
-    if which == "H1_seminorm":
-        return float(np.sqrt(np.dot(simpson_weights(m.n_cells), d * d) * m.dx))
-    return float(np.max(np.abs(v)) + np.max(np.abs(d)))
-
-
-def h1_norm(m: GradientGrid) -> float:
-    """Full H1 norm: sqrt(L2^2 + seminorm^2)."""
-    return float(np.hypot(lp_norm(m, "L2"), lp_norm(m, "H1_seminorm")))
-
-
 def sample_at(m: GradientGrid, x: "float | np.ndarray") -> "float | np.ndarray":
     """Linear interpolation between neighboring nodes; 0 outside [lo, hi]."""
     out = np.interp(x, m.x, m.values, left=0.0, right=0.0)
@@ -208,26 +177,6 @@ def support_interval(m: DensityGrid, rel_threshold: float = 0.0) -> "tuple[float
         return None
     x = m.x
     return float(x[idx[0]]), float(x[idx[-1]])
-
-
-def density_to_csv(m: GradientGrid, path: "str | Path") -> None:
-    """Write ``x,value`` rows at full precision (17 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,value\n")
-        for xi, vi in zip(m.x, m.values):
-            fh.write(f"{xi:.17g},{vi:.17g}\n")
-
-
-def density_from_csv(path: "str | Path") -> DensityGrid:
-    """Read a density written by :func:`density_to_csv` (uniform grid assumed)."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] < 3:
-        raise ValueError(f"{path}: expected 'x,value' rows")
-    x, v = rows[:, 0], rows[:, 1]
-    dxs = np.diff(x)
-    if not np.allclose(dxs, dxs[0], rtol=1e-12, atol=1e-15):
-        raise ValueError(f"{path}: grid nodes are not uniformly spaced")
-    return DensityGrid(float(x[0]), float(x[-1]), v)
 
 
 def window_integral(m: GradientGrid, a: float, b: float) -> float:

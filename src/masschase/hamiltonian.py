@@ -13,7 +13,6 @@ machine precision instead of quadrature-noise level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .cost import RunningCost, psi1, running_cost_matrix
 from .grid import (
     DensityGrid,
     GradientGrid,
-    lp_norm,
     mean,
     require_same_grid,
     simpson_sbp_diff,
@@ -68,16 +66,6 @@ class HamiltonianResult:
     argmin_b: int
     argmax_a_per_b: "tuple[int, ...]"
     matrix: "tuple[tuple[float, ...], ...]"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "argmin_b": self.argmin_b,
-                "argmax_a_per_b": list(self.argmax_a_per_b),
-                "matrix": [list(row) for row in self.matrix],
-            }
-        )
 
 
 def hamiltonian_minmax(
@@ -226,46 +214,3 @@ def isaacs_residual(
     q = candidate.grad_y(mX, mY, t)
     h = hamiltonian_minmax(mX, mY, p, q, dictA, dictB, rc, sigma)
     return -candidate.time_derivative(mX, mY, t) + h.value
-
-
-@dataclass(frozen=True)
-class GapCheck:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def continuity_gap_check(
-    m1X: DensityGrid,
-    m1Y: DensityGrid,
-    m2X: DensityGrid,
-    m2Y: DensityGrid,
-    zeta: float,
-    xi: float,
-    dictA: ControlDictionary,
-    dictB: ControlDictionary,
-    rc: RunningCost,
-    M_bound: float,
-) -> GapCheck:
-    """Hamiltonian continuity gap at the doubling-of-variables arguments.
-
-    Evaluates |H(state1, p, q) - H(state2, p, q)| with the specific
-    representers p = 2*(m1X - m2X)/zeta^2 and q = 2*(m1Y - m2Y)/xi^2, and
-    compares against M_bound times the squared L2 distances (scaled by the
-    same parameters). The running cost depends on the controls alone, so it
-    adds no term in the state distance. A small absolute slack absorbs the
-    quadrature mismatch between the two sides.
-    """
-    if zeta <= 0 or xi <= 0:
-        raise ValueError("zeta and xi must be positive")
-    require_same_grid(m1X, m2X)
-    require_same_grid(m1Y, m2Y)
-    p = GradientGrid(m1X.lo, m1X.hi, 2.0 * (m1X.values - m2X.values) / zeta**2)
-    q = GradientGrid(m1Y.lo, m1Y.hi, 2.0 * (m1Y.values - m2Y.values) / xi**2)
-    h1 = hamiltonian_minmax(m1X, m1Y, p, q, dictA, dictB, rc).value
-    h2 = hamiltonian_minmax(m2X, m2Y, p, q, dictA, dictB, rc).value
-    lhs = abs(h1 - h2)
-    dX = GradientGrid(m1X.lo, m1X.hi, m1X.values - m2X.values)
-    dY = GradientGrid(m1Y.lo, m1Y.hi, m1Y.values - m2Y.values)
-    rhs = M_bound * (lp_norm(dX, "L2") ** 2 / zeta**2 + lp_norm(dY, "L2") ** 2 / xi**2)
-    return GapCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-6)

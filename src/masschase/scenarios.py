@@ -223,7 +223,7 @@ def run_example_psi3(
     d = standard_dictionary(c)
     spec = GameSpec(
         T=T, t0=0.0, n_steps=n_steps, mX0=mX, mY0=mY, dictA=d, dictB=d,
-        rc=ZeroRunningCost(), fc=MeanDiffSquared(), reduced=True,
+        rc=ZeroRunningCost(), fc=MeanDiffSquared(),
     )
     table = solve_values(spec)
     lower0 = table.value_at("lower", 0, 0.0, 0.0)
@@ -296,7 +296,7 @@ def run_example_psi1(
     d = standard_dictionary(c)
     spec = GameSpec(
         T=T, t0=0.0, n_steps=n_steps, mX0=mX, mY0=mY, dictA=d, dictB=d,
-        rc=ZeroRunningCost(), fc=Overlap(), reduced=True,
+        rc=ZeroRunningCost(), fc=Overlap(),
     )
     table = solve_values(spec)
     lower0 = table.value_at("lower", 0, 0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Control fields, admissibility validation, dictionaries, schedules."""
+"""Control fields, dictionaries, schedules."""
 
 import numpy as np
 import pytest
@@ -9,52 +9,32 @@ from masschase.controls import (
     Affine,
     Constant,
     ControlDictionary,
-    ControlSchedule,
     Scatter,
-    eval_field,
     schedule_from_sequence,
     standard_dictionary,
-    validate_admissible,
 )
 
 
-class TestEvalField:
+class TestFieldValue:
     def test_constant(self):
-        v, d = eval_field(Constant(0.7), 12.3, want_derivative=True)
-        assert v == 0.7 and d == 0.0
+        assert Constant(0.7).value(12.3) == 0.7
 
     def test_scatter_midpoint_is_zero(self):
-        assert eval_field(Scatter(0.0, 2.0, 1.0), 1.0) == 0.0
+        assert Scatter(0.0, 2.0, 1.0).value(1.0) == 0.0
 
     def test_scatter_saturates_at_both_ends(self):
         s = Scatter(0.0, 2.0, 1.0)
-        assert eval_field(s, -1.0) == -1.0
-        assert eval_field(s, 3.0) == 1.0
+        assert s.value(-1.0) == -1.0
+        assert s.value(3.0) == 1.0
 
-    def test_affine_clips_with_zero_derivative(self):
+    def test_affine_clips(self):
         f = Affine(2.0, 0.0, 1.0)
-        v, d = eval_field(f, 5.0, want_derivative=True)
-        assert v == 1.0 and d == 0.0
-        v, d = eval_field(f, 0.1, want_derivative=True)
-        assert v == pytest.approx(0.2) and d == 2.0
+        assert f.value(5.0) == 1.0
+        assert f.value(0.1) == pytest.approx(0.2)
 
     def test_vectorized(self):
         xs = np.array([-1.0, 1.0, 3.0])
-        np.testing.assert_allclose(eval_field(Scatter(0.0, 2.0, 1.0), xs), [-1.0, 0.0, 1.0])
-
-    @given(x=st.floats(-5, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_derivative_matches_finite_differences(self, x):
-        h = 1e-5
-        for f in (Constant(0.4), Affine(0.8, 0.1, 1.0), Scatter(-0.5, 1.5, 1.0)):
-            # skip probes near clip joints where the analytic derivative jumps
-            _, d_lo = eval_field(f, x - 2 * h, want_derivative=True)
-            _, d_hi = eval_field(f, x + 2 * h, want_derivative=True)
-            if d_lo != d_hi:
-                continue
-            fd = (eval_field(f, x + h) - eval_field(f, x - h)) / (2 * h)
-            _, d = eval_field(f, x, want_derivative=True)
-            assert abs(d - fd) <= 1e-6
+        np.testing.assert_allclose(Scatter(0.0, 2.0, 1.0).value(xs), [-1.0, 0.0, 1.0])
 
     @given(x1=st.floats(-4, 4), x2=st.floats(-4, 4))
     @settings(max_examples=60, deadline=None)
@@ -63,33 +43,6 @@ class TestEvalField:
         lo, hi = sorted((x1, x2))
         assert s.value(lo) <= s.value(hi) + 1e-15
         assert abs(s.value(lo + 1e-9) - s.value(lo)) <= 1e-8
-
-
-class TestValidateAdmissible:
-    def test_constant_within_bound_passes_pointwise(self):
-        rep = validate_admissible(Constant(0.5), AdmissibilityBounds(1.0), (-1.0, 1.0))
-        assert rep.passes["sup_norm"] and rep.passes["div_w1inf"]
-        # H1 over the domain depends on its length and is reported either way
-        assert rep.h1_norm == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-6)
-
-    def test_overspeed_constant_fails_sup(self):
-        rep = validate_admissible(Constant(2.0), AdmissibilityBounds(1.0), (-1.0, 1.0))
-        assert not rep.passes["sup_norm"]
-
-    def test_scatter_divergence_is_its_slope(self):
-        # joints at 0 and 2 give slope 2c / 2 = c
-        c = 0.8
-        rep = validate_admissible(Scatter(0.0, 2.0, c), AdmissibilityBounds(c), (-1.0, 3.0), n_probe=4001)
-        assert rep.div_sup == pytest.approx(c, abs=1e-12)
-        assert rep.passes["div_w1inf"]
-        rep2 = validate_admissible(Scatter(0.0, 2.0, c), AdmissibilityBounds(c / 2), (-1.0, 3.0))
-        assert not rep2.passes["div_w1inf"]
-
-    def test_piecewise_linear_kinds_warn_about_smoothness(self):
-        rep = validate_admissible(Scatter(0.0, 1.0, 1.0), AdmissibilityBounds(5.0), (-1.0, 2.0))
-        assert any("W2inf" in w for w in rep.warnings)
-        rep_const = validate_admissible(Constant(1.0), AdmissibilityBounds(5.0), (-1.0, 2.0))
-        assert rep_const.warnings == ()
 
 
 class TestDictionary:
@@ -106,8 +59,7 @@ class TestDictionary:
     def test_all_entries_admissible(self):
         d = standard_dictionary(1.0, include_scatter=True, xi1=0.0, xi2=1.0)
         for f in d.fields:
-            rep = validate_admissible(f, d.bounds, (-2.0, 3.0))
-            assert rep.passes["sup_norm"] and rep.passes["div_w1inf"]
+            assert f.sup_norm <= d.bounds.M and f.div_sup <= d.bounds.M
 
     def test_construction_is_deterministic(self):
         d1 = standard_dictionary(0.7, include_scatter=True, xi1=-1.0, xi2=1.0)

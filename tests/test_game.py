@@ -31,7 +31,6 @@ from masschase.game import (
     _prediffused,
     brute_force_value,
     dpp_residual,
-    extract_strategy,
     simulate_play,
     solve_values,
 )
@@ -76,6 +75,26 @@ class TestValueAt:
         t = _table(self.U, [0, 1])
         with pytest.raises(BoxOverflow, match="level 1"):
             t.value_at("lower", 1, 1.5, 0.0)
+
+    @pytest.mark.parametrize("level", (-1, 2))
+    def test_a_level_outside_the_table_raises(self, level):
+        # the table has n_steps = 1; -1 must not wrap around to the terminal level
+        t = _table(self.U, [0, 1])
+        with pytest.raises(ValueError, match=r"level must be in \[0, 1\]"):
+            t.value_at("lower", level, 0.0, 0.0)
+
+
+class TestGameSpec:
+    @pytest.mark.parametrize("side", ("dictA", "dictB"))
+    def test_a_non_constant_field_is_rejected(self, side):
+        # the translation reduction needs every field to be Constant
+        m = make_bump(-3.0, 3.0, 256, 0.0, 0.5)
+        dicts = {"dictA": standard_dictionary(1.0), "dictB": standard_dictionary(1.0)}
+        dicts[side] = standard_dictionary(1.0, include_scatter=True)
+        with pytest.raises(ValueError, match="constant-only"):
+            GameSpec(
+                T=0.5, t0=0.0, n_steps=2, mX0=m, mY0=m, rc=ZeroRunningCost(), fc=Overlap(), **dicts
+            )
 
 
 FINAL_COSTS = (Overlap(), MeanDiffSquared(), WindowDiffSquared(0.4))
@@ -145,23 +164,6 @@ class TestSolveValues:
         spec = _spec(*game, Overlap(), ControlEffort(0.3, 0.7), d, d)
         table = solve_values(spec)
         assert [dpp_residual(table, spec, k) for k in range(spec.n_steps)] == [0.0] * spec.n_steps
-
-    @pytest.mark.parametrize("rc", RUNNING_COSTS, ids=lambda rc: type(rc).__name__)
-    @given(game=games, d=dicts)
-    @settings(max_examples=8, deadline=None)
-    def test_strategy_picks_reproduce_the_lower_table(self, rc, game, d):
-        spec = _spec(*game, WindowDiffSquared(0.4), rc, d, d)
-        table = solve_values(spec)
-        strat = extract_strategy(spec, table)
-        for k in range(spec.n_steps):
-            v = np.abs(strat.z) <= table.reach[k] * table.dz + 1e-12
-            assert np.all(strat.a_index[k][~v] == -1) and np.all(strat.b_index[k][~v] == -1)
-            for m in np.flatnonzero(v):
-                a = spec.dictA[strat.a_index[k, m]]
-                b = spec.dictB[strat.b_index[k, m]]
-                ell = running_cost(rc, a, b, spec.tube)
-                nxt = table.value_at("lower", k + 1, strat.z[m] + a.c * spec.dt, b.c * spec.dt)
-                assert spec.dt * ell + nxt == pytest.approx(table.U_lower[k, m], rel=1e-14)
 
     @pytest.mark.parametrize("rc", RUNNING_COSTS, ids=lambda rc: type(rc).__name__)
     @pytest.mark.parametrize("slow", ("A", "B"))

@@ -1,4 +1,4 @@
-"""Grid module: quadrature, means, norms, interpolation, serialization."""
+"""Grid module: quadrature, means, interpolation, window integrals."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from masschase.flow import push_forward
 from masschase.grid import (
     DensityGrid,
     GradientGrid,
-    density_from_csv,
-    density_to_csv,
-    lp_norm,
     mean,
     sample_at,
     simpson_sbp_diff,
@@ -139,53 +136,6 @@ class TestMean:
             mean(m)
 
 
-class TestNorms:
-    def test_zero_density_all_norms(self):
-        m = DensityGrid(-1.0, 1.0, np.zeros(65))
-        for which in ("L2", "H1_seminorm", "W1inf"):
-            assert lp_norm(m, which) == 0.0
-
-    def test_sine_bump_l2(self):
-        m = DensityGrid.from_callable(
-            -0.5, 1.5, 1024, lambda x: np.where((x > 0) & (x < 1), np.sin(np.pi * np.clip(x, 0, 1)), 0.0)
-        )
-        assert abs(lp_norm(m, "L2") - np.sqrt(0.5)) <= 1e-4
-
-    def test_smooth_plateau_l2(self):
-        # plateau of height 1 and width 1 with smooth ramps; analytic oracle below
-        ramp = 0.25
-
-        def plateau(x):
-            up = 0.5 * (1 - np.cos(np.pi * (x + 0.5 + ramp) / ramp))
-            down = 0.5 * (1 - np.cos(np.pi * (0.5 + ramp - x) / ramp))
-            return np.where(
-                np.abs(x) <= 0.5,
-                1.0,
-                np.where(
-                    (x > -0.5 - ramp) & (x < -0.5), up, np.where((x > 0.5) & (x < 0.5 + ramp), down, 0.0)
-                ),
-            )
-
-        # oracle: 1 + 2 * integral of ramp^2 = 1 + 2 * (3/8) * ramp
-        oracle = np.sqrt(1.0 + 2.0 * 0.375 * ramp)
-        m = DensityGrid.from_callable(-2.0, 2.0, 2048, plateau)
-        assert abs(lp_norm(m, "L2") - oracle) <= 1e-4
-
-    def test_unknown_norm_rejected(self):
-        m = DensityGrid(-1.0, 1.0, np.zeros(65))
-        with pytest.raises(ValueError, match="unknown norm"):
-            lp_norm(m, "L7")
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_l2_bounded_by_sup(self, seed):
-        r = np.random.default_rng(seed)
-        v = np.zeros(65)
-        v[1:-1] = r.uniform(0.0, 5.0, 63)
-        m = DensityGrid(-1.0, 2.0, v)
-        assert lp_norm(m, "L2") <= np.sqrt(3.0) * np.max(np.abs(v)) + 1e-12
-
-
 class TestSampleAt:
     def test_exact_at_nodes(self):
         m = smooth_bump(-1.0, 1.0, 64, 0.0, 0.5)
@@ -256,15 +206,3 @@ class TestWindowIntegral:
         v[2] = 1.0
         g = GradientGrid(0.0, 1.0, v)
         assert abs(window_integral(g, 0.24, 0.26) - (0.02 - 0.01**2 / 0.125)) <= 1e-15
-
-
-class TestCsv:
-    def test_round_trip_full_precision(self, tmp_path):
-        m = smooth_bump(-1.0, 2.0, 128, 0.3, 0.5)
-        p = tmp_path / "density.csv"
-        density_to_csv(m, p)
-        back = density_from_csv(p)
-        assert back.lo == m.lo and back.hi == m.hi
-        np.testing.assert_array_equal(back.values, m.values)
-        header = p.read_text().splitlines()[0]
-        assert header == "x,value"

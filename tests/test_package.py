@@ -1,5 +1,6 @@
-"""Package hygiene: every module uses each name it imports, and every public
-definition is referenced somewhere in the package or its tests."""
+"""Package hygiene: every module uses each name it imports, every public
+definition is referenced somewhere in the package or its tests, and only an
+allow-listed few are read by the tests alone."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,14 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "masschase"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((TESTS.parent / "perfbench").glob("*.py"))
+
+# public names that only the tests read, each kept for a reason
+TEST_ONLY = {
+    "evaluate_J": "J is the functional the solved table is checked against",
+    "TabulatedCandidate": "the candidate links a solved table to the Hamiltonian",
+    "ValueTable.z": "z names the lattice of U that the tests read",
+}
 
 
 def _imported(tree: ast.Module) -> "set[str]":
@@ -137,3 +146,34 @@ def test_the_check_sees_an_unreferenced_definition():
     )
     test = ast.parse("from m import imported\nimport m\nm.called()\n")
     assert _public_definitions(module) - _referenced([module, test]) == {"dead"}
+
+
+def _read_by_tests_alone(sources, readers) -> "set[str]":
+    """Public definitions and methods of ``sources`` that no tree in ``readers`` reads."""
+    referenced, used = _referenced(readers), _attributes(readers)
+    defined = set().union(*map(_public_definitions, sources))
+    methods = set().union(*map(_public_methods, sources))
+    return {d for d in defined if d not in referenced} | {
+        f"{c}.{m}" for c, m in methods if m not in used
+    }
+
+
+def test_only_the_allow_list_is_read_by_tests_alone():
+    # the readers are the solver, scenario and CLI modules and the benchmark,
+    # parsed rather than imported
+    sources = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in PERFBENCH]
+    assert bench, "no perfbench modules found"
+    assert sorted(_read_by_tests_alone(sources, sources + bench)) == sorted(TEST_ONLY)
+
+
+def test_the_check_sees_a_definition_read_by_tests_alone():
+    module = ast.parse(
+        "class A:\n"
+        "    def read(self):\n        return helper()\n"
+        "    def tested(self):\n        pass\n"
+        "def helper():\n    pass\n"
+        "def tested_fn():\n    pass\n"
+    )
+    reader = ast.parse("from m import A\nA().read()\n")
+    assert _read_by_tests_alone([module], [module, reader]) == {"tested_fn", "A.tested"}
