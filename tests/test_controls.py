@@ -9,6 +9,7 @@ from masschase.controls import (
     Affine,
     Constant,
     ControlDictionary,
+    ControlSchedule,
     Scatter,
     schedule_from_sequence,
     standard_dictionary,
@@ -45,6 +46,47 @@ class TestFieldValue:
         assert abs(s.value(lo + 1e-9) - s.value(lo)) <= 1e-8
 
 
+KINDS = (
+    Constant(0.6),
+    Constant(-0.4),
+    Affine(0.9, -0.3, 0.8),
+    Affine(-1.5, 0.2, 0.5),
+    Scatter(-0.5, 0.7, 1.2),
+)
+
+
+class TestFieldKinds:
+    XS = np.linspace(-5.0, 5.0, 20_001)
+
+    @pytest.mark.parametrize("f", KINDS, ids=lambda f: f.describe())
+    def test_clipped_affine_reproduces_the_value(self, f):
+        # the flow solves characteristics from this triple alone
+        a, b, C = f.clipped_affine
+        np.testing.assert_allclose(f.value(self.XS), np.clip(a * self.XS + b, -C, C), atol=1e-15)
+
+    @pytest.mark.parametrize("f", KINDS, ids=lambda f: f.describe())
+    def test_sup_and_divergence_bounds_are_attained(self, f):
+        v = f.value(self.XS)
+        slope = np.diff(v) / np.diff(self.XS)
+        assert np.max(np.abs(v)) == pytest.approx(f.sup_norm, rel=1e-12)
+        assert np.max(np.abs(slope)) == pytest.approx(f.div_sup, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make",
+        (
+            lambda: Affine(1.0, 0.0, 0.0),
+            lambda: Scatter(1.0, 1.0, 1.0),
+            lambda: Scatter(0.0, 1.0, -1.0),
+            lambda: AdmissibilityBounds(0.0),
+            lambda: standard_dictionary(-1.0),
+        ),
+        ids=("affine-clip", "scatter-joints", "scatter-speed", "bound", "dictionary-speed"),
+    )
+    def test_invalid_parameters_are_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestDictionary:
     def test_standard_dictionary_order(self):
         d = standard_dictionary(1.0)
@@ -69,6 +111,13 @@ class TestDictionary:
     def test_overspeed_entry_rejected(self):
         with pytest.raises(ValueError, match="sup-norm"):
             ControlDictionary((Constant(2.0),), AdmissibilityBounds(1.0))
+
+    def test_max_speed_and_all_constant(self):
+        d = standard_dictionary(0.7)
+        assert d.max_speed == 0.7 and d.all_constant()
+        d = standard_dictionary(0.7, include_scatter=True, xi1=0.0, xi2=0.5)
+        assert d.max_speed == 0.7 and not d.all_constant()
+        assert d.bounds.M == pytest.approx(2.8)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -112,3 +161,23 @@ class TestSchedule:
         segs = list(s.segments(0.2, 0.9))
         assert segs[0][0] == 0.2 and segs[-1][1] == 0.9
         assert segs[0][2] is d[0] and segs[1][2] is d[2]
+
+    def test_breakpoints_and_fields_must_match(self):
+        f = Constant(0.5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ControlSchedule((0.0, 0.5, 0.5), (f, f))
+        with pytest.raises(ValueError, match="one field per"):
+            ControlSchedule((0.0, 1.0), (f, f))
+
+    def test_field_at_clamps_outside_the_horizon(self):
+        d = standard_dictionary(1.0)
+        s = schedule_from_sequence((0.0, 0.5, 1.0), (0, 2), d)
+        assert s.field_at(-3.0) is d[0]
+        assert s.field_at(1.0) is d[2] and s.field_at(4.0) is d[2]
+
+    def test_segments_of_a_zero_span_and_a_reversed_span(self):
+        d = standard_dictionary(1.0)
+        s = schedule_from_sequence((0.0, 0.5, 1.0), (0, 2), d)
+        assert list(s.segments(0.5, 0.5)) == [(0.5, 0.5, d[2])]
+        with pytest.raises(ValueError, match="t0 <= t1"):
+            list(s.segments(0.8, 0.2))

@@ -17,7 +17,14 @@ from masschase.controls import (
 )
 from masschase.errors import NotReduced, TubeOverflow
 from masschase.flow import drift_diffuse, flow_arrays, push_forward
-from masschase.grid import DensityGrid, sample_at, simpson_sbp_diff, support_interval, total_mass
+from masschase.grid import (
+    DensityGrid,
+    sample_at,
+    simpson_sbp_diff,
+    simpson_weights,
+    support_interval,
+    total_mass,
+)
 from masschase.scenarios import bump_profile, make_bump
 
 from conftest import smooth_bump
@@ -29,6 +36,18 @@ def const_schedule(c, t0=0.0, t1=1.0):
 
 def linear_schedule(lam, clip=10.0, t0=0.0, t1=1.0):
     return ControlSchedule.constant(Affine(lam, 0.0, clip), t0, t1)
+
+
+def w1inf(m):
+    """max |m| + max |m'|, the derivative taken by the Simpson-paired operator."""
+    return float(np.max(np.abs(m.values)) + np.max(np.abs(simpson_sbp_diff(m.values, m.dx))))
+
+
+def h1(v, dx):
+    """Full H1 norm of node data under Simpson quadrature."""
+    w = simpson_weights(v.size - 1) * dx
+    d = simpson_sbp_diff(v, dx)
+    return math.sqrt(np.dot(w, v * v) + np.dot(w, d * d))
 
 
 def forward(sched, x, t0, t1):
@@ -170,8 +189,7 @@ class TestPushForward:
         out = push_forward(m0, sched, 0.0, 0.5)
         shifted = sample_at(m0, m0.x - 0.5)
         l1 = np.sum(np.abs(out.values - shifted)) * m0.dx
-        w1inf = np.max(m0.values) + np.max(np.abs(simpson_sbp_diff(m0.values, m0.dx)))
-        assert l1 <= 2.0 * m0.dx * w1inf
+        assert l1 <= 2.0 * m0.dx * w1inf(m0)
 
     def test_linear_field_matches_closed_form(self):
         # dilation under the linear field: exact density is the initial
@@ -271,6 +289,72 @@ class TestSolveContinuity:
             exact = bump_profile(m0.x * k, 0.3, 1.0, 4) / znorm * k
             rel_l1 = np.sum(np.abs(snap.values - exact)) / np.sum(np.abs(exact))
             assert rel_l1 < 1e-4
+
+
+class TestTransportedSupport:
+    """The support at time t lies in the initial support inflated by speed * t."""
+
+    def test_inflation_arithmetic(self, rng):
+        # one cell of slack: support_interval reports nodes, not the exact edge
+        m0 = make_bump(-3.0, 3.0, 512, 0.3, 0.6)
+        slo, shi = support_interval(m0)
+        d = standard_dictionary(1.0, include_scatter=True, xi1=-0.2, xi2=0.8)
+        for _ in range(20):
+            idx = rng.integers(0, 4, size=4)
+            sched = schedule_from_sequence((0.0, 0.25, 0.5, 0.75, 1.0), tuple(idx), d)
+            for t in (0.3, 0.6, 1.0):
+                lo, hi = support_interval(push_forward(m0, sched, 0.0, t))
+                assert lo >= slo - d.max_speed * t - m0.dx
+                assert hi <= shi + d.max_speed * t + m0.dx
+
+    def test_independent_of_restart_time(self):
+        # the field is autonomous, so only the elapsed time matters
+        m0 = make_bump(-3.0, 3.0, 512, 0.0, 0.5)
+        f = Affine(0.4, 0.1, 1.0)
+        early = push_forward(m0, ControlSchedule.constant(f, 0.1, 0.9), 0.1, 0.9)
+        late = push_forward(m0, ControlSchedule.constant(f, 0.6, 1.4), 0.6, 1.4)
+        assert np.max(np.abs(early.values - late.values)) <= 1e-14 * early.values.max()
+
+
+class TestInvariantSet:
+    def test_zero_field_keeps_everything(self):
+        m0 = make_bump(-3.0, 3.0, 512, 0.0, 0.5)
+        out = push_forward(m0, const_schedule(0.0), 0.0, 1.0)
+        assert np.array_equal(out.values, m0.values)
+
+    def test_full_speed_constant_reaches_tube_edge(self):
+        m0 = make_bump(-3.0, 3.0, 512, 0.0, 0.5)
+        M, T = 1.0, 1.0
+        lo, hi = support_interval(push_forward(m0, const_schedule(M), 0.0, T))
+        # the transported support edge sits at the tube edge up to one cell
+        assert abs(hi - (0.5 + M * T)) <= 2 * m0.dx
+        assert abs(lo - (-0.5 + M * T)) <= 2 * m0.dx
+
+    def test_contraction_grows_norm_within_bound(self):
+        # contraction by e^{|lam| T} scales values by that factor and slopes
+        # by its square, so W1inf grows by at most e^{2 |lam| T}
+        m0 = make_bump(-3.0, 3.0, 1024, 0.0, 0.5)
+        lam, T = -0.5, 1.0
+        out = push_forward(m0, ControlSchedule.constant(Affine(lam, 0.0, 2.0), 0.0, T), 0.0, T)
+        w0, w1 = w1inf(m0), w1inf(out)
+        assert w0 < w1 <= math.exp(2 * abs(lam) * T) * w0
+
+    @pytest.mark.parametrize("lam", (0.0, 0.5, -0.5))
+    def test_h1_distance_grows_at_most_at_the_dilation_rate(self, lam):
+        # under x -> x e^{lam T} the squared L2 distance scales by e^{-lam T}
+        # and the squared seminorm by e^{-3 lam T}; lam = 0 is a translation
+        lo, hi, n, T = -3.0, 3.0, 512, 1.0
+        sched = ControlSchedule.constant(Affine(lam, 1.0 if lam == 0.0 else 0.0, 10.0), 0.0, T)
+        bound = max(math.exp(-lam * T / 2), math.exp(-3 * lam * T / 2))
+        for m1, m2 in (
+            (make_bump(lo, hi, n, -0.1, 0.5), make_bump(lo, hi, n, 0.1, 0.45)),
+            (make_bump(lo, hi, n, 0.0, 0.6), make_bump(lo, hi, n, 0.05, 0.6)),
+        ):
+            n1, n2 = push_forward(m1, sched, 0.0, T), push_forward(m2, sched, 0.0, T)
+            ratio = h1(n1.values - n2.values, m1.dx) / h1(m1.values - m2.values, m1.dx)
+            assert 0.0 < ratio <= bound
+            if lam == 0.0:
+                assert ratio >= 0.99
 
 
 class TestFokkerPlanck:

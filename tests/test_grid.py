@@ -14,6 +14,7 @@ from masschase.grid import (
     sample_at,
     simpson_sbp_diff,
     simpson_weights,
+    support_interval,
     total_mass,
     window_integral,
 )
@@ -160,6 +161,17 @@ class TestSampleAt:
         m = smooth_bump(-1.0, 1.0, 64, 0.0, 0.5)
         lip = np.max(np.abs(np.diff(m.values))) / m.dx
         assert abs(sample_at(m, x + eps) - sample_at(m, x)) <= lip * eps + 1e-12
+
+
+class TestSupportInterval:
+    def test_zero_density_has_no_support(self):
+        assert support_interval(DensityGrid(-1.0, 1.0, np.zeros(65))) is None
+
+    def test_threshold_is_relative_to_the_peak(self):
+        # nodes 0.125 apart; the triangle exceeds half its peak on (-0.25, 0.25)
+        m = DensityGrid.from_callable(-1.0, 1.0, 16, lambda x: triangle(x, -0.5, 0.0, 0.5, 3.0))
+        assert support_interval(m) == (-0.375, 0.375)
+        assert support_interval(m, rel_threshold=0.5) == (-0.125, 0.125)
 
 
 class TestWindowIntegral:
