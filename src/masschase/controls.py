@@ -96,7 +96,7 @@ ControlField = Union[Constant, Affine, Scatter]
 
 @dataclass(frozen=True)
 class AdmissibilityBounds:
-    """The single bound M applied to sup-norm, H1 norm, and divergence norm."""
+    """The single bound M on each field's sup-norm and on the sup of its divergence."""
 
     M: float
 
@@ -125,6 +125,10 @@ class ControlDictionary:
             if f.sup_norm > self.bounds.M + 1e-12:
                 raise ValueError(
                     f"{f.describe()}: sup-norm {f.sup_norm:g} exceeds bound M={self.bounds.M:g}"
+                )
+            if f.div_sup > self.bounds.M + 1e-12:
+                raise ValueError(
+                    f"{f.describe()}: divergence {f.div_sup:g} exceeds bound M={self.bounds.M:g}"
                 )
 
     def __len__(self) -> int:

@@ -143,11 +143,8 @@ def relative_final_cost(
     require_same_grid(mX, mY)
     if isinstance(fc, WindowDiffSquared):
         mu_x, mu_y, d = mean(mX), mean(mY), fc.delta
-        return np.vectorize(
-            lambda z: (window_integral(mY, mu_x + z - d, mu_x + z + d)
-                       - window_integral(mX, mu_y - z - d, mu_y - z + d)) ** 2,
-            otypes=[float],
-        )
+        return lambda z: (window_integral(mY, mu_x + z - d, mu_x + z + d)
+                          - window_integral(mX, mu_y - z - d, mu_y - z + d)) ** 2
     if isinstance(fc, Overlap):
         n = mX.n_cells
         # corr[k + n] = sum_i w_i mX_i mY_{i+k}, the overlap at a shift of k nodes

@@ -19,12 +19,15 @@ such q exists, q = 1 and advances interpolate linearly between the two
 neighbouring nodes. Level k is valid on |m| <= k * R, the reach of k steps
 from the origin, with R the widest one-step advance in cells; the terminal
 level is the final cost at every node. One step kernel serves the solver and
-the DPP residual.
+the DPP residual. It reads the next level through a read-only strided window
+with one row per whole-node advance, so every advance is one contiguous row
+and a blended advance mixes two neighbouring rows.
 
 ``ValueTable`` also shows U on the offset plane: ``lower[k, i, j]`` is
 ``U_lower[k]`` at z = hx[i] - hy[j], a read-only strided view, with the
-per-axis spacing max-speed * dt and the reachable rectangle of each level as
-its valid mask.
+per-axis spacing max-speed * dt. The reachable set of each level there is a
+centred rectangle; the table keeps its two per-axis sides and builds the
+(level, i, j) mask only when ``valid`` is read.
 """
 
 from __future__ import annotations
@@ -153,8 +156,10 @@ class ValueTable:
     ``U_lower[k, m]`` and ``U_upper[k, m]`` hold the values at z = (m - M) * dz
     for the 2M + 1 lattice nodes; level k is valid for |m - M| <= reach[k] and
     holds NaN elsewhere. ``lower`` and ``upper`` show the same values on the
-    offset plane (hx, hy) as read-only views, and ``valid`` marks each
-    level's reachable rectangle there.
+    offset plane (hx, hy) as read-only views. Each level's reachable set
+    there is a centred rectangle: ``valid_x[k, i]`` and ``valid_y[k, j]``
+    mark its sides, and ``valid`` builds the (level, i, j) mask from them
+    only when it is read.
     """
 
     times: np.ndarray
@@ -164,7 +169,19 @@ class ValueTable:
     reach: np.ndarray
     hx: np.ndarray
     hy: np.ndarray
-    valid: np.ndarray
+    valid_x: np.ndarray
+    valid_y: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        """The reachable rectangle of each level on the offset plane, (level, i, j).
+
+        Built when read, as a read-only array; ``valid_x`` and ``valid_y``
+        hold its two per-axis sides.
+        """
+        valid = self.valid_x[:, :, None] & self.valid_y[:, None, :]
+        valid.setflags(write=False)
+        return valid
 
     @property
     def z(self) -> np.ndarray:
@@ -267,13 +284,17 @@ def _terminal_cost(spec: GameSpec):
 class _Step:
     """Every one-step advance (a - b) * dt on the z lattice, indexed [b, a].
 
-    ``whole`` and ``frac`` split each advance into whole nodes and a fraction
-    (``_split``), ``blend`` marks the advances that land between nodes, and
+    Each advance splits into whole nodes and a fraction (``_split``). The
+    whole parts run from ``lo`` to ``hi`` counting the node a blend reaches
+    to its right; ``rows`` is each advance's whole part less ``lo``, ``frac``
+    its fraction, and ``blend`` marks the advances that land between nodes.
     ``cost`` is dt times the running-cost matrix, which is state- and
     time-independent and so serves every node and level.
     """
 
-    whole: np.ndarray
+    lo: int
+    hi: int
+    rows: np.ndarray
     frac: np.ndarray
     blend: np.ndarray
     cost: np.ndarray
@@ -284,37 +305,48 @@ class _Step:
             [[_split((a.c - b.c) * spec.dt, dz) for a in spec.dictA.fields] for b in spec.dictB.fields]
         )
         ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
-        frac = split[..., 1]
-        return cls(split[..., 0].astype(int), frac, frac > 0.0, spec.dt * ell[:, :, None])
+        whole, frac = split[..., 0].astype(int), split[..., 1]
+        blend = frac > 0.0
+        lo, hi = int(whole.min()), int((whole + blend).max())
+        return cls(lo, hi, whole - lo, frac, blend, spec.dt * ell[:, :, None])
 
     def candidates(self, nxt: np.ndarray, reach_next: int, r: int) -> np.ndarray:
         """Candidates dt * ell[b, a] + the advanced next level, on |m| <= r.
 
         ``nxt`` holds the next level of U in its last axis, valid on
-        |m| <= reach_next; the result has axes (..., b, a, m). Each advance
-        reads it at a whole-node shift, or blends the two neighbouring nodes
-        linearly, skipping a node of zero weight. A read outside the valid
-        range raises BoxOverflow.
+        |m| <= reach_next; the result has axes (..., b, a, m). The reads go
+        through a read-only window over ``nxt`` with one row per whole-node
+        advance from ``lo`` to ``hi``: row j holds the 2r + 1 nodes that
+        start at m = lo - r + j. Every advance is then one row gather, and a
+        blended advance mixes its row with the next one linearly, skipping a
+        node of zero weight. A read outside the valid range raises
+        BoxOverflow.
         """
-        if self.whole.min() - r < -reach_next or (self.whole + self.blend).max() + r > reach_next:
-            raise BoxOverflow("an advance from the valid range leaves the valid range of the next level")
         half = (nxt.shape[-1] - 1) // 2
-        cols = np.arange(half - r, half + r + 1)
-        out = nxt[..., self.whole[:, :, None] + cols]
+        if self.lo - r < -min(reach_next, half) or self.hi + r > min(reach_next, half):
+            raise BoxOverflow("an advance from the valid range leaves the valid range of the next level")
+        s = nxt.strides[-1]
+        win = as_strided(
+            nxt[..., half - r + self.lo:],
+            shape=nxt.shape[:-1] + (self.hi - self.lo + 1, 2 * r + 1),
+            strides=nxt.strides[:-1] + (s, s),
+            writeable=False,
+        )
+        out = win[..., self.rows, :]
         if self.blend.any():
             f = self.frac[self.blend][:, None]
-            right = nxt[..., self.whole[self.blend][:, None] + cols + 1]
+            right = win[..., self.rows[self.blend] + 1, :]
             out[..., self.blend, :] = (1.0 - f) * out[..., self.blend, :] + f * right
         out += self.cost
         return out
 
 
 def _lower_step(c: np.ndarray) -> np.ndarray:
-    return np.max(np.min(c, axis=1), axis=0)  # min over a, then max over b
+    return np.maximum.reduce(np.minimum.reduce(c, axis=1), axis=0)  # min over a, then max over b
 
 
 def _upper_step(c: np.ndarray) -> np.ndarray:
-    return np.min(np.max(c, axis=0), axis=0)  # max over b, then min over a
+    return np.minimum.reduce(np.maximum.reduce(c, axis=0), axis=0)  # max over b, then min over a
 
 
 def solve_values(spec: GameSpec) -> ValueTable:
@@ -345,15 +377,14 @@ def solve_values(spec: GameSpec) -> ValueTable:
     hx = np.arange(-nx, nx + 1) * (px * dz)
     hy = np.arange(-ny, ny + 1) * (py * dz)
     levels = np.arange(n + 1)[:, None]
-    in_x = np.abs(np.arange(-nx, nx + 1) * px) <= levels * ax + 1e-9
-    in_y = np.abs(np.arange(-ny, ny + 1) * py) <= levels * ay + 1e-9
-    valid = in_x[:, :, None] & in_y[:, None, :]
+    valid_x = np.abs(np.arange(-nx, nx + 1) * px) <= levels * ax + 1e-9
+    valid_y = np.abs(np.arange(-ny, ny + 1) * py) <= levels * ay + 1e-9
 
     times = spec.level_times
-    for arr in (U, reach, hx, hy, valid, times):
+    for arr in (U, reach, hx, hy, valid_x, valid_y, times):
         arr.setflags(write=False)
     return ValueTable(times=times, dz=dz, U_lower=U[0], U_upper=U[1], reach=reach,
-                      hx=hx, hy=hy, valid=valid)
+                      hx=hx, hy=hy, valid_x=valid_x, valid_y=valid_y)
 
 
 def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:

@@ -179,42 +179,45 @@ def support_interval(m: DensityGrid, rel_threshold: float = 0.0) -> "tuple[float
     return float(x[idx[0]]), float(x[idx[-1]])
 
 
-def window_integral(m: GradientGrid, a: float, b: float) -> float:
+def window_integral(
+    m: GradientGrid, a: "float | np.ndarray", b: "float | np.ndarray"
+) -> "float | np.ndarray":
     """Integral of the node data over [a, b] inside the grid.
 
+    ``a`` and ``b`` may be arrays of window ends, broadcast against each
+    other; the result has their shape, and is a float for scalar ends.
     Whole node panels are summed with composite Simpson on pairs of cells
     that start at even global nodes, the pairing ``total_mass`` uses, so a
-    window holding the whole support returns the total mass. The partial end
-    cells, and a whole cell left over at either end by that pairing,
-    integrate the linear interpolant exactly. Outside [lo, hi] the density
-    is zero.
+    window holding the whole support returns the total mass; the panels of
+    every window are read from one cumulative sum. The partial end cells,
+    and a whole cell left over at either end by that pairing, integrate the
+    linear interpolant exactly. Outside [lo, hi] the density is zero.
     """
-    if b <= a:
-        return 0.0
-    a = max(a, m.lo)
-    b = min(b, m.hi)
-    if b <= a:
-        return 0.0
-    x, v, dx = m.x, m.values, m.dx
+    a = np.maximum(np.asarray(a, dtype=float), m.lo)
+    b = np.minimum(np.asarray(b, dtype=float), m.hi)
+    a, b = np.broadcast_arrays(a, b)
+    x, v, dx, n = m.x, m.values, m.dx, m.n_cells
 
-    def _linear_piece(u0: float, u1: float) -> float:
+    def piece(u0, u1):
         # exact integral of the interpolant over [u0, u1] within one cell
         return 0.5 * (sample_at(m, u0) + sample_at(m, u1)) * (u1 - u0)
 
-    i0 = int(np.ceil((a - m.lo) / dx - 1e-12))
-    i1 = int(np.floor((b - m.lo) / dx + 1e-12))
-    if i1 < i0:
-        return float(_linear_piece(a, b))
-    total = _linear_piece(a, x[i0]) + _linear_piece(x[i1], b)
-    if i0 % 2 == 1 and i0 < i1:
-        total += _linear_piece(x[i0], x[i0 + 1])
-        i0 += 1
-    if i1 % 2 == 1 and i0 < i1:
-        total += _linear_piece(x[i1 - 1], x[i1])
-        i1 -= 1
-    if i1 > i0:
-        total += float(np.dot(simpson_weights(i1 - i0), v[i0 : i1 + 1]) * dx)
-    return float(total)
+    i0 = np.clip(np.ceil((a - m.lo) / dx - 1e-12).astype(int), 0, n)
+    i1 = np.clip(np.floor((b - m.lo) / dx + 1e-12).astype(int), 0, n)
+    nodes = i0 <= i1  # the window holds at least one node
+    total = np.where(nodes, piece(a, x[i0]) + piece(x[i1], b), piece(a, b))
+    odd = nodes & (i0 % 2 == 1) & (i0 < i1)
+    total += np.where(odd, piece(x[i0], x[np.minimum(i0 + 1, n)]), 0.0)
+    i0 = i0 + odd
+    odd = nodes & (i1 % 2 == 1) & (i0 < i1)
+    total += np.where(odd, piece(x[np.maximum(i1 - 1, 0)], x[i1]), 0.0)
+    i1 = i1 - odd
+    # panels[p] integrates cells 2p and 2p + 1; i0 and i1 are now even
+    panels = np.cumsum((v[:-2:2] + 4.0 * v[1:-1:2] + v[2::2]) * (dx / 3.0))
+    panels = np.concatenate(([0.0], panels))
+    total += np.where(nodes & (i0 < i1), panels[i1 // 2] - panels[i0 // 2], 0.0)
+    total = np.where(b > a, total, 0.0)
+    return float(total) if total.ndim == 0 else total
 
 
 def require_same_grid(*grids: Iterable) -> None:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from masschase.grid import DensityGrid
-from masschase.scenarios import bump_profile, make_bump
+from masschase.scenarios import make_bump
 
 
 def smooth_bump(lo, hi, n_cells, center, radius):

@@ -112,6 +112,11 @@ class TestDictionary:
         with pytest.raises(ValueError, match="sup-norm"):
             ControlDictionary((Constant(2.0),), AdmissibilityBounds(1.0))
 
+    def test_overdivergent_entry_rejected(self):
+        # sup-norm 1 is within the bound, the slope 5 is not
+        with pytest.raises(ValueError, match="divergence 5"):
+            ControlDictionary((Affine(5.0, 0.0, 1.0),), AdmissibilityBounds(1.0))
+
     def test_max_speed_and_all_constant(self):
         d = standard_dictionary(0.7)
         assert d.max_speed == 0.7 and d.all_constant()

@@ -1,6 +1,7 @@
 """Game module: value-table lookups, the min-max solver on the z lattice, and play."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from masschase.flow import drift_diffuse
 from masschase.game import (
     GameSpec,
     ValueTable,
+    _Step,
     _prediffused,
     brute_force_value,
     dpp_residual,
@@ -43,7 +45,8 @@ def _table(U, reach):
     zero = np.array([0.0])
     return ValueTable(
         times=np.arange(U.shape[0], dtype=float), dz=1.0, U_lower=U, U_upper=U,
-        reach=np.asarray(reach), hx=zero, hy=zero, valid=np.ones((U.shape[0], 1, 1), dtype=bool),
+        reach=np.asarray(reach), hx=zero, hy=zero, valid_x=np.ones((U.shape[0], 1), dtype=bool),
+        valid_y=np.ones((U.shape[0], 1), dtype=bool),
     )
 
 
@@ -242,7 +245,7 @@ class TestSolveValues:
         U = np.zeros((2, 3))
         table = ValueTable(times=spec.level_times, dz=0.5, U_lower=U, U_upper=U,
                            reach=np.array([0, 1]), hx=zero, hy=zero,
-                           valid=np.ones((2, 1, 1), dtype=bool))
+                           valid_x=np.ones((2, 1), dtype=bool), valid_y=np.ones((2, 1), dtype=bool))
         with pytest.raises(BoxOverflow):
             dpp_residual(table, spec, 0)
 
@@ -260,6 +263,40 @@ class TestSolveValues:
             brute_force_value(spec)
         # a slower minimizer reaches only 0.05, which stays inside
         solve_values(dataclasses.replace(spec, dictA=_speeds(-0.1, 0.0, 0.1)))
+
+
+def _per_element_candidates(step, nxt, reach_next, r):
+    """The step kernel's candidates through a per-element index, nxt[..., whole + cols]."""
+    whole = step.rows + step.lo
+    half = (nxt.shape[-1] - 1) // 2
+    cols = np.arange(half - r, half + r + 1)
+    out = nxt[..., whole[:, :, None] + cols]
+    if step.blend.any():
+        f = step.frac[step.blend][:, None]
+        right = nxt[..., whole[step.blend][:, None] + cols + 1]
+        out[..., step.blend, :] = (1.0 - f) * out[..., step.blend, :] + f * right
+    out += step.cost
+    return out
+
+
+class TestStepKernel:
+    # the lattices of DICTS, plus one where every move interpolates and one
+    # refined twice
+    PAIRS = dict(DICTS, only37=_speeds(-0.37, 0.0, 0.37), halves=_speeds(-0.5, 0.0, 0.5))
+
+    @pytest.mark.parametrize("rc", RUNNING_COSTS, ids=lambda rc: type(rc).__name__)
+    @pytest.mark.parametrize("fc", FINAL_COSTS[:2], ids=lambda fc: type(fc).__name__)
+    def test_the_window_read_equals_a_per_element_gather_bit_for_bit(self, fc, rc, monkeypatch):
+        specs = [
+            _spec(0.6, 0.5, n_steps, fc, rc, self.PAIRS[a], self.PAIRS[b])
+            for a, b in itertools.product(self.PAIRS, repeat=2) for n_steps in (3, 8)
+        ]
+        tables = [solve_values(spec) for spec in specs]
+        monkeypatch.setattr(_Step, "candidates", _per_element_candidates)
+        for spec, table in zip(specs, tables):
+            ref = solve_values(spec)
+            assert np.array_equal(table.U_lower, ref.U_lower, equal_nan=True)
+            assert np.array_equal(table.U_upper, ref.U_upper, equal_nan=True)
 
 
 class TestSimulatePlay:

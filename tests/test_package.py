@@ -1,6 +1,6 @@
-"""Package hygiene: every module uses each name it imports, every public
-definition is referenced somewhere in the package or its tests, and only an
-allow-listed few are read by the tests alone."""
+"""Package hygiene: every module and test file uses each name it imports,
+every public definition is referenced somewhere in the package or its tests,
+and only an allow-listed few are read by the tests alone."""
 
 import ast
 from pathlib import Path
@@ -51,7 +51,7 @@ def _used(tree: ast.Module) -> "set[str]":
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_imported(tree) - _used(tree)) == []
