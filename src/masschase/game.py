@@ -323,7 +323,8 @@ class _Step:
         BoxOverflow.
         """
         half = (nxt.shape[-1] - 1) // 2
-        if self.lo - r < -min(reach_next, half) or self.hi + r > min(reach_next, half):
+        lim = min(reach_next, half)  # the window must also stay inside nxt
+        if self.lo - r < -lim or self.hi + r > lim:
             raise BoxOverflow("an advance from the valid range leaves the valid range of the next level")
         s = nxt.strides[-1]
         win = as_strided(
