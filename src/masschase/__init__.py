@@ -61,7 +61,6 @@ from .grid import (
     total_mass,
 )
 from .hamiltonian import (
-    HamiltonianResult,
     Psi1Analytic,
     Psi3Analytic,
     TabulatedCandidate,

@@ -205,9 +205,6 @@ class ControlSchedule:
         """Yield (s0, s1, field) pieces covering [t0, t1] with constant field each."""
         if t1 < t0:
             raise ValueError("need t0 <= t1")
-        if t1 == t0:
-            yield t0, t1, self.field_at(t0)
-            return
         bp = self.breakpoints
         cuts = [t0] + [b for b in bp if t0 < b < t1] + [t1]
         for s0, s1 in zip(cuts, cuts[1:]):

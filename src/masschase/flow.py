@@ -117,14 +117,14 @@ def push_forward(
     Output node values are m0 sampled at the backward foot point divided by
     the forward-flow Jacobian there. The transported support (tracked via the
     edge trajectories) must stay inside the grid domain; otherwise mass would
-    be clipped away and the run aborts with TubeOverflow.
+    be clipped away and the run aborts with TubeOverflow. Raises ValueError
+    unless t0 <= t1, for a zero density as well.
     """
+    if not t0 <= t1:
+        raise ValueError(f"need t0 <= t1, got {t0}, {t1}")
     supp = support_interval(m0)
     if supp is None:
         return m0
-    dt = t1 - t0
-    if dt < 0:
-        raise ValueError("need t0 <= t1")
     reach_lo, reach_hi = _support_envelope(schedule, supp[0], supp[1], t0, t1)
     if reach_lo < m0.lo - 1e-12 or reach_hi > m0.hi + 1e-12:
         raise TubeOverflow(

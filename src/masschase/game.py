@@ -99,11 +99,10 @@ class GameSpec:
 
 
 def advance_reduced(
-    hX: float, hY: float, a_index: int, b_index: int, spec: GameSpec, dt: float
+    hX: float, hY: float, a_index: int, b_index: int, spec: GameSpec
 ) -> "tuple[float, float]":
-    """One translation step under the chosen constant fields."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One translation step of length ``spec.dt`` under the chosen constant fields."""
+    dt = spec.dt
     return hX + spec.dictA[a_index].c * dt, hY + spec.dictB[b_index].c * dt
 
 
@@ -433,7 +432,7 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
             for bi in range(len(spec.dictB)):
                 inner = np.inf
                 for ai in range(len(spec.dictA)):
-                    hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec, dt)
+                    hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec)
                     inner = min(inner, dt * ell(ai, bi) + rec(k + 1, hX2, hY2, True))
                 outer = max(outer, inner)
         else:
@@ -441,7 +440,7 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
             for ai in range(len(spec.dictA)):
                 inner = -np.inf
                 for bi in range(len(spec.dictB)):
-                    hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec, dt)
+                    hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec)
                     inner = max(inner, dt * ell(ai, bi) + rec(k + 1, hX2, hY2, False))
                 outer = min(outer, inner)
         cache[key] = float(outer)
@@ -452,55 +451,49 @@ def brute_force_value(spec: GameSpec, max_steps: int = 4) -> "tuple[float, float
 
 @dataclass(frozen=True)
 class PlayResult:
-    offsets: "tuple[tuple[float, float], ...]"
+    """The dictionary indices each player chose at each step, and the realized cost J.
+
+    The table value that J is compared with is
+    ``table.value_at("lower", 0, 0.0, 0.0)``.
+    """
+
     a_indices: "tuple[int, ...]"
     b_indices: "tuple[int, ...]"
     realized_J: float
-    table_value: float
 
 
 def simulate_play(spec: GameSpec, table: ValueTable) -> PlayResult:
     """Forward play from the origin under the lower-recursion optimizers.
 
-    At each step the maximizer commits its argmax choice and the minimizer
-    answers with the argmin response, both read from the table at the
-    current shift. The realized cost is the running-cost integral over the
-    played schedules plus the final cost at the played shift z_T, through
-    the function the table's terminal level uses; on a grid where every
-    advance is an even whole number of density cells it also equals
-    ``evaluate_J`` of the played schedules.
+    At each step the candidates dt * ell[b, a] + the next level of the lower
+    table at the advanced offsets form a |B| x |A| matrix. The maximizer
+    commits the b whose row minimum is largest, and the minimizer answers
+    with the a that attains that minimum; both ties break toward the lowest
+    index. The realized cost is the running-cost integral over the played
+    schedules plus the final cost at the played shift z_T, through the
+    function the table's terminal level uses; on a grid where every advance
+    is an even whole number of density cells it also equals ``evaluate_J``
+    of the played schedules.
     """
     dt = spec.dt
     ell = running_cost_matrix(spec.rc, spec.dictA, spec.dictB, spec.tube)
     hX, hY = 0.0, 0.0
-    offsets = [(hX, hY)]
     a_seq: "list[int]" = []
     b_seq: "list[int]" = []
     for k in range(spec.n_steps):
-        best = None  # (value, bi, ai)
-        for bi in range(len(spec.dictB)):
-            inner = None  # (value, ai)
-            for ai in range(len(spec.dictA)):
-                hX2, hY2 = advance_reduced(hX, hY, ai, bi, spec, dt)
-                v = dt * ell[bi, ai] + table.value_at("lower", k + 1, hX2, hY2)
-                if inner is None or v < inner[0]:
-                    inner = (v, ai)
-            if best is None or inner[0] > best[0]:
-                best = (inner[0], bi, inner[1])
-        _, bi, ai = best
+        v = np.array([
+            [dt * ell[bi, ai] + table.value_at("lower", k + 1, *advance_reduced(hX, hY, ai, bi, spec))
+             for ai in range(len(spec.dictA))]
+            for bi in range(len(spec.dictB))
+        ])
+        bi = int(np.argmax(v.min(axis=1)))
+        ai = int(np.argmin(v[bi]))
         a_seq.append(ai)
         b_seq.append(bi)
-        hX, hY = advance_reduced(hX, hY, ai, bi, spec, dt)
-        offsets.append((hX, hY))
+        hX, hY = advance_reduced(hX, hY, ai, bi, spec)
 
     times = tuple(spec.level_times)
     alpha = schedule_from_sequence(times, a_seq, spec.dictA)
     beta = schedule_from_sequence(times, b_seq, spec.dictB)
     realized = running_cost_integral(spec, alpha, beta) + float(_terminal_cost(spec)(hX - hY))
-    return PlayResult(
-        offsets=tuple(offsets),
-        a_indices=tuple(a_seq),
-        b_indices=tuple(b_seq),
-        realized_J=realized,
-        table_value=table.value_at("lower", 0, 0.0, 0.0),
-    )
+    return PlayResult(a_indices=tuple(a_seq), b_indices=tuple(b_seq), realized_J=realized)

@@ -13,12 +13,10 @@ machine precision instead of quadrature-noise level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .controls import ControlDictionary, ControlField
-from .cost import RunningCost, psi1, running_cost_matrix
+from .cost import RunningCost, running_cost_matrix
 from .grid import (
     DensityGrid,
     GradientGrid,
@@ -54,20 +52,6 @@ def transport_pairing(
     return val
 
 
-@dataclass(frozen=True)
-class HamiltonianResult:
-    """Value and optimizer bookkeeping of one min-max evaluation.
-
-    ``matrix[b][a]`` holds the inner objective; ties in either optimization
-    break toward the lowest dictionary index, so results are deterministic.
-    """
-
-    value: float
-    argmin_b: int
-    argmax_a_per_b: "tuple[int, ...]"
-    matrix: "tuple[tuple[float, ...], ...]"
-
-
 def hamiltonian_minmax(
     mX: DensityGrid,
     mY: DensityGrid,
@@ -77,24 +61,19 @@ def hamiltonian_minmax(
     dictB: ControlDictionary,
     rc: RunningCost,
     sigma: float = 0.0,
-) -> HamiltonianResult:
+) -> float:
     """Exact min over the b-dictionary of max over the a-dictionary.
 
-    The objective is pairing(p, a, mX) + pairing(q, b, mY) - running cost.
+    The objective is pairing(p, a, mX) + pairing(q, b, mY) - running cost,
+    with the running cost integrated over mX's grid domain; both pairings
+    carry the diffusive term when sigma > 0. Returns ``min_b max_a`` of the
+    |B| x |A| matrix of that objective.
     """
     pair_a = np.array([transport_pairing(p, a, mX, sigma) for a in dictA.fields])
     pair_b = np.array([transport_pairing(q, b, mY, sigma) for b in dictB.fields])
     ell = running_cost_matrix(rc, dictA, dictB, (mX.lo, mX.hi))
     matrix = pair_a[None, :] + pair_b[:, None] - ell
-    argmax_per_b = np.argmax(matrix, axis=1)
-    inner = matrix[np.arange(len(dictB)), argmax_per_b]
-    best_b = int(np.argmin(inner))
-    return HamiltonianResult(
-        value=float(inner[best_b]),
-        argmin_b=best_b,
-        argmax_a_per_b=tuple(argmax_per_b.tolist()),
-        matrix=tuple(map(tuple, matrix.tolist())),
-    )
+    return float(matrix.max(axis=1).min())
 
 
 class Psi3Analytic:
@@ -103,9 +82,6 @@ class Psi3Analytic:
     Time-independent; its density differentials are the linear representers
     2*(muX - muY)*x and -2*(muX - muY)*x sampled on the grid.
     """
-
-    def value(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
-        return (mean(mX) - mean(mY)) ** 2
 
     def time_derivative(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
         return 0.0
@@ -125,9 +101,6 @@ class Psi1Analytic:
     Time-independent; the differential in each density is the other density.
     """
 
-    def value(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
-        return psi1(mX, mY)
-
     def time_derivative(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
         return 0.0
 
@@ -139,7 +112,7 @@ class Psi1Analytic:
 
 
 class TabulatedCandidate:
-    """Candidate backed by a solved value table of a reduced game.
+    """Candidate backed by the lower values of a solved reduced game.
 
     Valid only for constant-control reduced games with unit masses: there a
     density state is a pure translate of the initial one, so its offset is
@@ -152,10 +125,9 @@ class TabulatedCandidate:
     read is not valid at the level, ``value_at`` raises BoxOverflow.
     """
 
-    def __init__(self, table, spec, use_lower: bool = True):
+    def __init__(self, table, spec):
         self.table = table
         self.spec = spec
-        self.use_lower = use_lower
         self._mu_x0 = mean(spec.mX0)
         self._mu_y0 = mean(spec.mY0)
 
@@ -167,12 +139,7 @@ class TabulatedCandidate:
         return int(np.clip(np.searchsorted(times, t + 1e-12) - 1, 0, times.size - 2))
 
     def _v(self, level: int, hX: float, hY: float) -> float:
-        which = "lower" if self.use_lower else "upper"
-        return self.table.value_at(which, level, hX, hY)
-
-    def value(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
-        hX, hY = self._offsets(mX, mY)
-        return self._v(self._level_near(t), hX, hY)
+        return self.table.value_at("lower", level, hX, hY)
 
     def time_derivative(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
         hX, hY = self._offsets(mX, mY)
@@ -207,10 +174,13 @@ def isaacs_residual(
 ) -> float:
     """-V_t + H(mX, mY, D_X V, D_Y V) for a candidate value function at time t.
 
-    With a zero running cost the min-max and the separate sup/inf split
-    agree because the objective is separable in the two controls.
+    A candidate is any object with ``time_derivative``, ``grad_x`` and
+    ``grad_y`` methods of (mX, mY, t); its value itself is never read. H is
+    ``hamiltonian_minmax``, whose pairings carry the diffusive term when
+    sigma > 0. With a zero running cost the min-max and the separate sup/inf
+    split agree because the objective is separable in the two controls.
     """
     p = candidate.grad_x(mX, mY, t)
     q = candidate.grad_y(mX, mY, t)
     h = hamiltonian_minmax(mX, mY, p, q, dictA, dictB, rc, sigma)
-    return -candidate.time_derivative(mX, mY, t) + h.value
+    return -candidate.time_derivative(mX, mY, t) + h

@@ -264,6 +264,15 @@ class TestSolveContinuity:
         out = push_forward(m0, const_schedule(1.0), 0.0, 0.0)
         assert np.array_equal(out.values, m0.values)
 
+    @pytest.mark.parametrize("zero", (False, True), ids=("bump", "zero-density"))
+    def test_a_reversed_interval_raises(self, zero):
+        # a zero density has no support to transport, and must not skip the check
+        m0 = make_bump(-2.0, 2.0, 256, 0.0, 0.5)
+        if zero:
+            m0 = DensityGrid(m0.lo, m0.hi, np.zeros_like(m0.values))
+        with pytest.raises(ValueError, match="need t0 <= t1"):
+            push_forward(m0, const_schedule(1.0), 0.5, 0.2)
+
     def test_constant_field_semigroup(self):
         # snapshot times commensurate with the grid so translation is exact
         lo, hi, n = -2.0, 2.0, 256

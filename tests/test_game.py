@@ -306,8 +306,9 @@ class TestSimulatePlay:
     @pytest.mark.parametrize("fc", FINAL_COSTS[:2], ids=lambda fc: type(fc).__name__)
     def test_zero_running_cost_game_realizes_the_table_value(self, fc, gap):
         spec = _spec(gap, 0.5, 4, fc, ZeroRunningCost())
-        play = simulate_play(spec, solve_values(spec))
-        assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
+        table = solve_values(spec)
+        play = simulate_play(spec, table)
+        assert play.realized_J == pytest.approx(table.value_at("lower", 0, 0.0, 0.0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "fc, gap, n_cells",
@@ -320,17 +321,46 @@ class TestSimulatePlay:
         # the table's own function, whether or not the advances c * dt = 0.125
         # are whole density cells (384 cells) or not (256)
         spec = _spec(gap, 0.5, 4, fc, ControlEffort(0.3, 0.7), n_cells=n_cells)
-        play = simulate_play(spec, solve_values(spec))
+        table = solve_values(spec)
+        play = simulate_play(spec, table)
         assert len(set(play.a_indices)) > 1 or len(set(play.b_indices)) > 1
-        assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
+        assert play.realized_J == pytest.approx(table.value_at("lower", 0, 0.0, 0.0), rel=1e-12)
 
     def test_five_speed_effort_game_realizes_the_table_value(self):
         # the +-0.4 speeds are whole cells of the refined lattice, so the
         # table is exact along every played path
         d = DICTS["fifths"]
         spec = _spec(1.2, 0.5, 3, MeanDiffSquared(), ControlEffort(0.3, 0.7), d, d)
-        play = simulate_play(spec, solve_values(spec))
-        assert play.realized_J == pytest.approx(play.table_value, rel=1e-12)
+        table = solve_values(spec)
+        play = simulate_play(spec, table)
+        assert play.realized_J == pytest.approx(table.value_at("lower", 0, 0.0, 0.0), rel=1e-12)
+
+    WHOLE = {k: v for k, v in dict(DICTS, halves=_speeds(-0.5, 0.0, 0.5)).items() if k != "interpolated"}
+
+    @pytest.mark.parametrize("dictB", sorted(WHOLE))
+    @pytest.mark.parametrize("dictA", sorted(WHOLE))
+    def test_every_pick_attains_the_lower_value_with_the_first_optimal_index(self, dictA, dictB):
+        # every advance is a whole node, so each step's candidates are the
+        # entries the solver's lower step reduced, summed in the same order
+        dA, dB = self.WHOLE[dictA], self.WHOLE[dictB]
+        for fc, rc, gap in itertools.product(FINAL_COSTS, RUNNING_COSTS, (-0.5, 0.0, 0.6)):
+            spec = _spec(gap, 0.5, 6, fc, rc, dA, dB)
+            table = solve_values(spec)
+            play = simulate_play(spec, table)
+            ell = np.array([[running_cost(rc, a, b, spec.tube) for a in dA.fields] for b in dB.fields])
+            hX, hY = 0.0, 0.0
+            for k, (ai, bi) in enumerate(zip(play.a_indices, play.b_indices)):
+                v = np.array([
+                    [spec.dt * ell[b, a] + table.value_at(
+                        "lower", k + 1, hX + dA[a].c * spec.dt, hY + dB[b].c * spec.dt)
+                     for a in range(len(dA))]
+                    for b in range(len(dB))
+                ])
+                value = v[bi, ai]
+                assert value == table.value_at("lower", k, hX, hY)
+                assert value == v[bi].min() == v.min(axis=1).max()
+                assert np.all(v[:bi].min(axis=1) < value) and np.all(v[bi, :ai] > value)
+                hX, hY = hX + dA[ai].c * spec.dt, hY + dB[bi].c * spec.dt
 
     @pytest.mark.parametrize("fc", FINAL_COSTS, ids=lambda fc: type(fc).__name__)
     @pytest.mark.parametrize("gap", (-0.2, 0.6))

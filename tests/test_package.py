@@ -1,6 +1,8 @@
 """Package hygiene: every module and test file uses each name it imports,
 every public definition is referenced somewhere in the package or its tests,
-and only an allow-listed few are read by the tests alone."""
+only an allow-listed few are read by the tests alone, every dataclass field
+is read outside the tests, and every defaulted parameter is passed by some
+call."""
 
 import ast
 from pathlib import Path
@@ -109,7 +111,13 @@ def _public_methods(tree: ast.Module) -> "set[tuple[str, str]]":
 
 
 def _attributes(trees) -> "set[str]":
-    return {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    """Names read as attributes, obj.name; an assignment to obj.name is no read."""
+    return {
+        n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
 
 
 def test_every_public_method_is_referenced():
@@ -177,3 +185,128 @@ def test_the_check_sees_a_definition_read_by_tests_alone():
     )
     reader = ast.parse("from m import A\nA().read()\n")
     assert _read_by_tests_alone([module], [module, reader]) == {"tested_fn", "A.tested"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree: ast.Module) -> "set[tuple[str, str]]":
+    return {
+        (cls.name, node.target.id)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read through an attribute access, obj.name, matched by name;
+    # the readers are the package and the benchmark, not the tests
+    sources = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in PERFBENCH]
+    read = _attributes(sources + bench)
+    fields = set().union(*map(_dataclass_fields, sources))
+    assert sorted(f"{c}.{f}" for c, f in fields if f not in read) == []
+
+
+def test_the_check_sees_an_unread_field():
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    read: int\n    written: int\n    unread: int = 0\n"
+        "    def total(self):\n        return self.read\n"
+        "class Plain:\n    x: int\n"
+    )
+    reader = ast.parse("a = A(1, 2)\na.written = 3\n")
+    fields = _dataclass_fields(module)
+    assert fields == {("A", "read"), ("A", "written"), ("A", "unread")}
+    assert {f for _, f in fields} - _attributes([module, reader]) == {"written", "unread"}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(label, callee name, positional index or None, name) of each defaulted parameter.
+
+    A module-level function is called by its name, a method by its attribute
+    name and a constructor by its class name; the index counts the arguments
+    a call passes by position, after ``self`` or ``cls``.
+    """
+    defs = [(node.name, node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                callee = cls.name if node.name == "__init__" else node.name
+                defs.append((f"{cls.name}.{node.name}", callee, node, 0 if static else 1))
+    out = set()
+    for label, callee, fn, skip in defs:
+        if fn.name.startswith("_") and fn.name != "__init__":
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out |= {(label, callee, i - skip, arg.arg) for i, arg in enumerate(positional[first:], first)}
+        out |= {(label, callee, None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+    return out
+
+
+def _calls(trees) -> "dict[str, list[tuple[int, set[str], bool]]]":
+    """Positional count, keyword names and whether any argument is a splat, per callee name."""
+    calls: "dict[str, list]" = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                splat = any(isinstance(a, ast.Starred) for a in n.args) or any(
+                    k.arg is None for k in n.keywords
+                )
+                keywords = {k.arg for k in n.keywords if k.arg is not None}
+                calls.setdefault(name, []).append((len(n.args), keywords, splat))
+    return calls
+
+
+def _never_passed(sources, callers) -> "set[str]":
+    calls = _calls(callers)
+    return {
+        f"{label}({name})"
+        for tree in sources
+        for label, callee, index, name in _defaulted_parameters(tree)
+        if not any(
+            splat or name in keywords or (index is not None and index < n_pos)
+            for n_pos, keywords, splat in calls.get(callee, ())
+        )
+    }
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a call passes a parameter by keyword, by position or through a * or **
+    # splat, which counts as passing every parameter; methods match by name
+    sources = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    callers = [
+        ast.parse(p.read_text(encoding="utf-8")) for p in PERFBENCH + sorted(TESTS.glob("*.py"))
+    ]
+    assert sorted(_never_passed(sources, sources + callers)) == []
+
+
+def test_the_check_sees_a_parameter_never_passed():
+    module = ast.parse(
+        "def f(a, by_position=1, by_keyword=2, dead=3, *, kw_dead=4):\n    pass\n"
+        "def g(splatted=1):\n    pass\n"
+        "class A:\n"
+        "    def __init__(self, x=0, dead=1):\n        pass\n"
+        "    def m(self, y=0, dead=1):\n        pass\n"
+        "    @staticmethod\n    def s(z=0, dead=1):\n        pass\n"
+        "def _private(dead=1):\n    pass\n"
+    )
+    caller = ast.parse(
+        "f(0, 1, by_keyword=2)\ng(**kw)\na = A(1)\na.m(2)\nA.s(3)\n_private()\n"
+    )
+    assert _never_passed([module], [module, caller]) == {
+        "f(dead)", "f(kw_dead)", "A.__init__(dead)", "A.m(dead)", "A.s(dead)"
+    }
