@@ -145,22 +145,11 @@ class ControlDictionary:
         return all(isinstance(f, Constant) for f in self.fields)
 
 
-def standard_dictionary(
-    c: float,
-    include_scatter: bool = False,
-    xi1: float = 0.0,
-    xi2: float = 1.0,
-) -> ControlDictionary:
-    """The canonical dictionary [-c, 0, +c], optionally with a scatter field last."""
+def standard_dictionary(c: float) -> ControlDictionary:
+    """The canonical dictionary [-c, 0, +c] of rigid translations, bounded by M = c."""
     if c <= 0:
         raise ValueError("speed bound c must be positive")
-    fields: "list[ControlField]" = [Constant(-c), Constant(0.0), Constant(c)]
-    M = c
-    if include_scatter:
-        sc = Scatter(xi1, xi2, c)
-        fields.append(sc)
-        M = max(M, sc.div_sup)
-    return ControlDictionary(tuple(fields), AdmissibilityBounds(M))
+    return ControlDictionary((Constant(-c), Constant(0.0), Constant(c)), AdmissibilityBounds(c))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ inside. Quadrature is composite Simpson, hence ``n_cells`` must be even.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .errors import ZeroMass
+from .errors import GridMismatch, ZeroMass
 
 def simpson_weights(n_cells: int) -> np.ndarray:
     """Composite Simpson weights for ``n_cells + 1`` nodes (without the dx factor)."""
@@ -220,10 +220,8 @@ def window_integral(
     return float(total) if total.ndim == 0 else total
 
 
-def require_same_grid(*grids: Iterable) -> None:
+def require_same_grid(*grids: GradientGrid) -> None:
     """Raise :class:`~masschase.errors.GridMismatch` unless all layouts agree."""
-    from .errors import GridMismatch
-
     first = grids[0]
     for g in grids[1:]:
         if not first.same_grid_as(g):

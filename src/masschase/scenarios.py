@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .controls import Constant, ControlSchedule, Scatter, standard_dictionary
-from .cost import MeanDiffSquared, Overlap, ZeroRunningCost, psi1, psi3
+from .cost import FinalCost, MeanDiffSquared, Overlap, ZeroRunningCost, psi1
 from .errors import MassChaseError
 from .flow import drift_diffuse, push_forward
 from .game import GameSpec, simulate_play, solve_values
@@ -26,28 +26,19 @@ from .grid import DensityGrid, sample_at, support_interval, total_mass
 from .hamiltonian import Psi1Analytic, Psi3Analytic, isaacs_residual
 
 
-def bump_profile(x: np.ndarray, center: float, radius: float, power: int = 2) -> np.ndarray:
-    """Compactly supported polynomial bump ``(1 - u^2)^power`` on |u| < 1.
+def bump_profile(x: np.ndarray, center: float, radius: float) -> np.ndarray:
+    """Compactly supported quartic bump ``(1 - u^2)^2`` on |u| < 1, u = (x - center) / radius.
 
-    The default quartic profile (power 2) is the standard scenario shape;
-    higher powers have smoother support edges and are used where transport
-    accuracy tests need them.
+    The power 2 is fixed: every scenario and oracle uses this shape.
     """
     u = (np.asarray(x, dtype=float) - center) / radius
-    return np.maximum(0.0, 1.0 - u * u) ** power
+    return np.maximum(0.0, 1.0 - u * u) ** 2
 
 
-def make_bump(
-    lo: float,
-    hi: float,
-    n_cells: int,
-    center: float,
-    radius: float,
-    power: int = 2,
-) -> DensityGrid:
-    """Unit-mass bump density on the given grid."""
+def make_bump(lo: float, hi: float, n_cells: int, center: float, radius: float) -> DensityGrid:
+    """Unit-mass quartic bump density (``bump_profile``) on the given grid."""
     return DensityGrid.from_callable(
-        lo, hi, n_cells, lambda x: bump_profile(x, center, radius, power), normalize=True
+        lo, hi, n_cells, lambda x: bump_profile(x, center, radius), normalize=True
     )
 
 
@@ -114,15 +105,7 @@ class Check:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "reference": self.reference,
-            "provenance": self.provenance,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def make_check(
@@ -193,28 +176,40 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
+def _rigid_game(
+    centers: "tuple[float, float]", radii: "tuple[float, float]", fc: FinalCost
+) -> GameSpec:
+    """The equal-speed game of both examples, for two quartic bumps and a final cost.
+
+    Both dictionaries are {-1, 0, 1}, the horizon is 0.5 in 32 steps, there is
+    no running cost, and the 512-cell domain reaches 0.25 beyond the support
+    either density can translate to.
+    """
+    c, T, margin = 1.0, 0.5, 0.25
+    lo = min(cc - r for cc, r in zip(centers, radii)) - c * T - margin
+    hi = max(cc + r for cc, r in zip(centers, radii)) + c * T + margin
+    mX, mY = (make_bump(lo, hi, 512, cc, r) for cc, r in zip(centers, radii))
+    d = standard_dictionary(c)
+    return GameSpec(
+        T=T, t0=0.0, n_steps=32, mX0=mX, mY0=mY, dictA=d, dictB=d,
+        rc=ZeroRunningCost(), fc=fc,
+    )
+
+
 def run_example_psi3() -> ScenarioReport:
     """Mean-gap game: the value stays at the squared initial mean gap.
 
-    The inputs are fixed: quartic bumps of radius 0.5 centred at 0 and 1 on
-    512 cells, both dictionaries {-1, 0, 1}, and the horizon 0.5 in 32 steps.
-    Equal speed bounds make the chase a stalemate: rigid translation at full
-    speed in the same direction preserves the gap, so the solved lower and
-    upper values at the origin both match the closed form, and the analytic
-    candidate has vanishing Isaacs residual.
+    The inputs are fixed: quartic bumps of radius 0.5 centred at 0 and 1, in
+    the rigid game of ``_rigid_game``. Equal speed bounds make the chase a
+    stalemate: rigid translation at full speed in the same direction
+    preserves the gap, so the solved lower and upper values at the origin
+    both match the closed form, and the analytic candidate has vanishing
+    Isaacs residual.
     """
     t_start = time.perf_counter()
-    c, mu_x, mu_y, T, n_steps, n_cells, radius = 1.0, 0.0, 1.0, 0.5, 32, 512, 0.5
-    margin = 0.25
-    lo = min(mu_x, mu_y) - radius - c * T - margin
-    hi = max(mu_x, mu_y) + radius + c * T + margin
-    mX = make_bump(lo, hi, n_cells, mu_x, radius)
-    mY = make_bump(lo, hi, n_cells, mu_y, radius)
-    d = standard_dictionary(c)
-    spec = GameSpec(
-        T=T, t0=0.0, n_steps=n_steps, mX0=mX, mY0=mY, dictA=d, dictB=d,
-        rc=ZeroRunningCost(), fc=MeanDiffSquared(),
-    )
+    mu_x, mu_y = 0.0, 1.0
+    spec = _rigid_game((mu_x, mu_y), (0.5, 0.5), MeanDiffSquared())
+    d = spec.dictA
     table = solve_values(spec)
     lower0 = table.value_at("lower", 0, 0.0, 0.0)
     upper0 = table.value_at("upper", 0, 0.0, 0.0)
@@ -230,7 +225,7 @@ def run_example_psi3() -> ScenarioReport:
             "structural: max-min never exceeds min-max", 0.0, mode="bool",
         )
     )
-    resid = isaacs_residual(Psi3Analytic(), mX, mY, 0.0, d, d, ZeroRunningCost())
+    resid = isaacs_residual(Psi3Analytic(), spec.mX0, spec.mY0, 0.0, d, d, ZeroRunningCost())
     report.checks.append(
         make_check(
             "isaacs_residual", abs(resid), 0.0,
@@ -241,8 +236,8 @@ def run_example_psi3() -> ScenarioReport:
     play = simulate_play(spec, table)
     rigid = True
     for ai, bi in zip(play.a_indices, play.b_indices):
-        ca, cb = spec.dictA[ai].c, spec.dictB[bi].c
-        if abs(ca) != c or abs(cb) != c or np.sign(ca) != np.sign(cb):
+        ca, cb = d[ai].c, d[bi].c
+        if abs(ca) != d.max_speed or abs(cb) != d.max_speed or np.sign(ca) != np.sign(cb):
             rigid = False
     report.checks.append(
         make_check(
@@ -265,23 +260,15 @@ def run_example_psi3() -> ScenarioReport:
 def run_example_psi1() -> ScenarioReport:
     """Overlap game under constant controls: the value stays at the overlap.
 
-    The inputs are fixed: quartic bumps of radius 0.8 centred at 0 and 0.3 on
-    512 cells, both dictionaries {-1, 0, 1}, and the horizon 0.5 in 32 steps.
-    Equal speeds again give rigid stalemate play; the reference overlap comes
-    from an independent million-point quadrature of the analytic profiles.
+    The inputs are fixed: quartic bumps of radius 0.8 centred at 0 and 0.3,
+    in the rigid game of ``_rigid_game``. Equal speeds again give rigid
+    stalemate play; the reference overlap comes from an independent
+    million-point quadrature of the analytic profiles.
     """
     t_start = time.perf_counter()
-    c, centers, radii, T, n_steps, n_cells = 1.0, (0.0, 0.3), (0.8, 0.8), 0.5, 32, 512
-    margin = 0.25
-    lo = min(cc - r for cc, r in zip(centers, radii)) - c * T - margin
-    hi = max(cc + r for cc, r in zip(centers, radii)) + c * T + margin
-    mX = make_bump(lo, hi, n_cells, centers[0], radii[0])
-    mY = make_bump(lo, hi, n_cells, centers[1], radii[1])
-    d = standard_dictionary(c)
-    spec = GameSpec(
-        T=T, t0=0.0, n_steps=n_steps, mX0=mX, mY0=mY, dictA=d, dictB=d,
-        rc=ZeroRunningCost(), fc=Overlap(),
-    )
+    centers, radii = (0.0, 0.3), (0.8, 0.8)
+    spec = _rigid_game(centers, radii, Overlap())
+    d = spec.dictA
     table = solve_values(spec)
     lower0 = table.value_at("lower", 0, 0.0, 0.0)
     ref = oracle_quadrature_overlap(centers, radii)
@@ -294,7 +281,7 @@ def run_example_psi1() -> ScenarioReport:
             0.05,
         )
     )
-    resid = isaacs_residual(Psi1Analytic(), mX, mY, 0.0, d, d, ZeroRunningCost())
+    resid = isaacs_residual(Psi1Analytic(), spec.mX0, spec.mY0, 0.0, d, d, ZeroRunningCost())
     report.checks.append(
         make_check(
             "isaacs_residual", abs(resid), 0.0,
@@ -331,12 +318,10 @@ def _scatter_evolution(
 
 
 def run_antelope_lion(
-    c: float = 1.0,
     antelope: "tuple[float, float]" = (0.0, 1.0),
     lion: "tuple[float, float]" = (0.0, 0.3),
     T: float = 0.4,
     n_steps: int = 16,
-    n_cells: int = 512,
 ) -> ScenarioReport:
     """Evader mass spreading against pursuer mass: shape change pays.
 
@@ -344,12 +329,15 @@ def run_antelope_lion(
     rigid constant control against the support-spreading feedback control;
     spreading strictly lowers its guaranteed overlap cost at the horizon.
     The pursuers respond with their best constant control throughout.
+    ``antelope`` and ``lion`` are (centre, radius) pairs. Fixed inputs: both
+    sides use the dictionary {-1, 0, 1} and the scatter speed 1, on 512
+    cells with a domain 0.3 wider than twice the reach.
     """
     t_start = time.perf_counter()
     (ca, ra), (cl, rl) = antelope, lion
     if not (ca - ra < cl - rl and cl + rl < ca + ra):
         raise ValueError("lion support must lie strictly inside the antelope support")
-    margin = 0.3
+    c, n_cells, margin = 1.0, 512, 0.3
     lo = ca - ra - 2 * c * T - margin
     hi = ca + ra + 2 * c * T + margin
     mA0 = make_bump(lo, hi, n_cells, ca, ra)
@@ -396,13 +384,6 @@ def run_antelope_lion(
     )
     report.checks.append(
         make_check(
-            "floor_nonnegative", float(a_prime >= 0.0), 1.0,
-            "measured: the evader density floor over the pursuer support",
-            0.0, mode="bool",
-        )
-    )
-    report.checks.append(
-        make_check(
             "scatter_reduces_overlap", float(guaranteed_scatter < initial_overlap), 1.0,
             "simulated: spreading lowers the final overlap below the initial one",
             0.0, mode="bool",
@@ -413,13 +394,6 @@ def run_antelope_lion(
             "scatter_beats_constants", float(guaranteed_scatter < guaranteed_const), 1.0,
             "simulated: guaranteed spread cost under best pursuer response beats "
             "the best rigid control's guaranteed cost",
-            0.0, mode="bool",
-        )
-    )
-    report.checks.append(
-        make_check(
-            "scatter_best_case_beats_constants", float(best_scatter < guaranteed_const), 1.0,
-            "simulated: implied by the guaranteed-case comparison",
             0.0, mode="bool",
         )
     )
@@ -458,27 +432,22 @@ def run_antelope_lion(
 
 
 def run_viscosity_sweep(
-    sigmas: "tuple[float, ...]" = (0.1, 0.03, 0.01, 0.003),
     centers: "tuple[float, float]" = (-0.4, 0.4),
     radii: "tuple[float, float]" = (0.6, 0.6),
     speeds: "tuple[float, float]" = (0.5, -0.5),
-    T: float = 0.5,
-    n_cells: int = 512,
-    fc_kind: str = "overlap",
 ) -> ScenarioReport:
-    """Cost gap to the zero-noise run as the agent noise vanishes.
+    """Overlap gap to the zero-noise run as the agent noise vanishes.
 
     Both speeds are constant, so each final density is the exact translate of
     its initial bump followed by one exact heat step (``flow.drift_diffuse``);
-    the zero-noise reference is the translate alone. The overlap cost of
-    every noise level is checked against the heat-kernel convolution of the
-    analytic bumps, the mean-gap cost at zero noise against the translated
-    mean gap.
+    the zero-noise reference is the translate alone. The overlap of every
+    noise level is checked against the heat-kernel convolution of the
+    analytic bumps. Fixed inputs: the noise levels 0.1, 0.03, 0.01 and
+    0.003, the horizon 0.5, and 512 cells on a domain 0.3 wider than the
+    reach.
     """
-    if any(s1 >= s0 for s0, s1 in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigmas must be strictly descending")
     t_start = time.perf_counter()
-    margin = 0.3
+    sigmas, T, n_cells, margin = (0.1, 0.03, 0.01, 0.003), 0.5, 512, 0.3
     v_reach = max(abs(s) for s in speeds) * T
     lo = min(cc - r for cc, r in zip(centers, radii)) - v_reach - margin
     hi = max(cc + r for cc, r in zip(centers, radii)) + v_reach + margin
@@ -486,23 +455,17 @@ def run_viscosity_sweep(
     mY = make_bump(lo, hi, n_cells, centers[1], radii[1])
     alpha = ControlSchedule.constant(Constant(speeds[0]), 0.0, T)
     beta = ControlSchedule.constant(Constant(speeds[1]), 0.0, T)
-    if fc_kind == "overlap":
-        cost = psi1
-    elif fc_kind == "mean_gap":
-        cost = psi3
-    else:
-        raise ValueError(f"unknown final-cost kind {fc_kind!r}")
 
     row_sigmas = (0.0, *sigmas)
     Js = [
-        cost(drift_diffuse(mX, alpha, s, 0.0, T), drift_diffuse(mY, beta, s, 0.0, T))
+        psi1(drift_diffuse(mX, alpha, s, 0.0, T), drift_diffuse(mY, beta, s, 0.0, T))
         for s in row_sigmas
     ]
     J0 = Js[0]
     rows = [{"sigma": s, "J": J, "gap_to_sigma0": abs(J - J0)} for s, J in zip(sigmas, Js[1:])]
     gaps = [r["gap_to_sigma0"] for r in rows]
 
-    report = ScenarioReport(name=f"viscosity_sweep_{fc_kind}")
+    report = ScenarioReport(name="viscosity_sweep_overlap")
     report.checks.append(
         make_check(
             "gaps_nonincreasing",
@@ -513,19 +476,13 @@ def run_viscosity_sweep(
         )
     )
     final_centers = tuple(cc + v * T for cc, v in zip(centers, speeds))
-    if fc_kind == "overlap":
-        report.checks += [
-            make_check(
-                f"J_vs_oracle_sigma={s:g}", J, heat_kernel_oracle(final_centers, radii, s, T),
-                "oracle: heat-kernel convolution of the analytic bumps", 1e-3,
-            )
-            for s, J in zip(row_sigmas, Js)
-        ]
-    else:
-        report.checks.append(make_check(
-            "J0_vs_translated_mean_gap", J0, (final_centers[0] - final_centers[1]) ** 2,
-            "closed form: squared mean gap of the rigidly translated bumps", 1e-3,
-        ))
+    report.checks += [
+        make_check(
+            f"J_vs_oracle_sigma={s:g}", J, heat_kernel_oracle(final_centers, radii, s, T),
+            "oracle: heat-kernel convolution of the analytic bumps", 1e-3,
+        )
+        for s, J in zip(row_sigmas, Js)
+    ]
     report.values.update({"J0": J0, "rows": rows})
     report.runtime_s = time.perf_counter() - t_start
     report.validate()

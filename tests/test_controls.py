@@ -15,6 +15,8 @@ from masschase.controls import (
     standard_dictionary,
 )
 
+from conftest import scatter_dictionary
+
 
 class TestFieldValue:
     def test_constant(self):
@@ -93,19 +95,14 @@ class TestDictionary:
         assert len(d) == 3
         assert [f.c for f in d.fields] == [-1.0, 0.0, 1.0]
 
-    def test_scatter_appended_last(self):
-        d = standard_dictionary(1.0, include_scatter=True, xi1=0.0, xi2=2.0)
-        assert len(d) == 4
-        assert isinstance(d[3], Scatter)
-
     def test_all_entries_admissible(self):
-        d = standard_dictionary(1.0, include_scatter=True, xi1=0.0, xi2=1.0)
+        d = scatter_dictionary(1.0, 0.0, 1.0)
         for f in d.fields:
             assert f.sup_norm <= d.bounds.M and f.div_sup <= d.bounds.M
 
     def test_construction_is_deterministic(self):
-        d1 = standard_dictionary(0.7, include_scatter=True, xi1=-1.0, xi2=1.0)
-        d2 = standard_dictionary(0.7, include_scatter=True, xi1=-1.0, xi2=1.0)
+        d1 = scatter_dictionary(0.7, -1.0, 1.0)
+        d2 = scatter_dictionary(0.7, -1.0, 1.0)
         assert d1 == d2
 
     def test_overspeed_entry_rejected(self):
@@ -120,7 +117,7 @@ class TestDictionary:
     def test_max_speed_and_all_constant(self):
         d = standard_dictionary(0.7)
         assert d.max_speed == 0.7 and d.all_constant()
-        d = standard_dictionary(0.7, include_scatter=True, xi1=0.0, xi2=0.5)
+        d = scatter_dictionary(0.7, 0.0, 0.5)
         assert d.max_speed == 0.7 and not d.all_constant()
         assert d.bounds.M == pytest.approx(2.8)
 
@@ -143,7 +140,7 @@ class TestSchedule:
         assert s.field_at(0.75) is d[1]
 
     def test_round_trip_at_midpoints(self):
-        d = standard_dictionary(1.0, include_scatter=True, xi1=0.0, xi2=1.0)
+        d = scatter_dictionary(1.0, 0.0, 1.0)
         times = (0.0, 0.25, 0.5, 0.75, 1.0)
         idx = (2, 0, 3, 1)
         s = schedule_from_sequence(times, idx, d)

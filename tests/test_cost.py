@@ -26,7 +26,7 @@ from masschase.game import GameSpec
 from masschase.grid import DensityGrid, mean
 from masschase.scenarios import bump_profile, make_bump, oracle_quadrature_overlap
 
-from conftest import random_bump_pair
+from conftest import random_bump_pair, smooth_bump
 
 
 class TestPsi1:
@@ -145,10 +145,10 @@ class TestRunningCost:
 
 
 class TestEvaluateJ:
-    def _spec(self, fc, rc=None, sigma=0.0, power=2):
+    def _spec(self, fc, rc=None, sigma=0.0, bump=make_bump):
         lo, hi, n = -3.0, 3.0, 512
-        mX = make_bump(lo, hi, n, -0.4, 0.5, power)
-        mY = make_bump(lo, hi, n, 0.6, 0.5, power)
+        mX = bump(lo, hi, n, -0.4, 0.5)
+        mY = bump(lo, hi, n, 0.6, 0.5)
         d = standard_dictionary(1.0)
         return GameSpec(
             T=0.5, t0=0.0, n_steps=8, mX0=mX, mY0=mY, dictA=d, dictB=d,
@@ -164,7 +164,7 @@ class TestEvaluateJ:
     def test_common_translation_preserves_mean_gap(self):
         # the off-node shift resamples linearly; the 2e-6 bound needs the
         # smoother power-4 edges (see conftest.smooth_bump)
-        spec = self._spec(MeanDiffSquared(), power=4)
+        spec = self._spec(MeanDiffSquared(), bump=smooth_bump)
         move = ControlSchedule.constant(Constant(1.0), 0.0, 0.5)
         J = evaluate_J(spec, move, move)
         assert J == pytest.approx(psi3(spec.mX0, spec.mY0), abs=2e-6)

@@ -13,7 +13,6 @@ from masschase.controls import (
     ControlSchedule,
     Scatter,
     schedule_from_sequence,
-    standard_dictionary,
 )
 from masschase.errors import NotReduced, TubeOverflow
 from masschase.flow import drift_diffuse, flow_arrays, push_forward
@@ -25,9 +24,9 @@ from masschase.grid import (
     support_interval,
     total_mass,
 )
-from masschase.scenarios import bump_profile, make_bump
+from masschase.scenarios import make_bump
 
-from conftest import smooth_bump
+from conftest import scatter_dictionary, smooth_bump, smooth_profile
 
 
 def const_schedule(c, t0=0.0, t1=1.0):
@@ -81,7 +80,7 @@ class TestIntegrateFlow:
         assert phi == 0.8 and jac == 1.0
 
     def test_semigroup_property_random_points(self, rng):
-        d = standard_dictionary(1.0, include_scatter=True, xi1=-0.5, xi2=1.0)
+        d = scatter_dictionary(1.0, -0.5, 1.0)
         sched = schedule_from_sequence((0.0, 0.3, 0.7, 1.0), (3, 0, 2), d)
         worst = 0.0
         for _ in range(100):
@@ -202,8 +201,8 @@ class TestPushForward:
         k = math.exp(-lam * span)
         x = m0.x
         z = np.linspace(-1.0, 2.0, 400_001)
-        znorm = np.trapezoid(bump_profile(z, 0.3, 1.0, 4), z)
-        exact = bump_profile(x * k, 0.3, 1.0, 4) / znorm * k
+        znorm = np.trapezoid(smooth_profile(z, 0.3, 1.0), z)
+        exact = smooth_profile(x * k, 0.3, 1.0) / znorm * k
         rel_l1 = np.sum(np.abs(out.values - exact)) / np.sum(np.abs(exact))
         assert rel_l1 < 1e-4
 
@@ -238,7 +237,7 @@ class TestPushForward:
 
     def test_positivity_everywhere(self, rng):
         m0 = make_bump(-2.0, 3.0, 256, 0.3, 0.6)
-        d = standard_dictionary(1.0, include_scatter=True, xi1=-0.2, xi2=0.8)
+        d = scatter_dictionary(1.0, -0.2, 0.8)
         for _ in range(10):
             idx = rng.integers(0, 4, size=4)
             sched = schedule_from_sequence((0.0, 0.25, 0.5, 0.75, 1.0), tuple(idx), d)
@@ -291,11 +290,11 @@ class TestSolveContinuity:
         sched = linear_schedule(lam, t1=0.5)
         times = [0.2, 0.4]
         z = np.linspace(-1.0, 2.0, 400_001)
-        znorm = np.trapezoid(bump_profile(z, 0.3, 1.0, 4), z)
+        znorm = np.trapezoid(smooth_profile(z, 0.3, 1.0), z)
         for s in times:
             snap = push_forward(m0, sched, 0.0, s)
             k = math.exp(-lam * s)
-            exact = bump_profile(m0.x * k, 0.3, 1.0, 4) / znorm * k
+            exact = smooth_profile(m0.x * k, 0.3, 1.0) / znorm * k
             rel_l1 = np.sum(np.abs(snap.values - exact)) / np.sum(np.abs(exact))
             assert rel_l1 < 1e-4
 
@@ -307,7 +306,7 @@ class TestTransportedSupport:
         # one cell of slack: support_interval reports nodes, not the exact edge
         m0 = make_bump(-3.0, 3.0, 512, 0.3, 0.6)
         slo, shi = support_interval(m0)
-        d = standard_dictionary(1.0, include_scatter=True, xi1=-0.2, xi2=0.8)
+        d = scatter_dictionary(1.0, -0.2, 0.8)
         for _ in range(20):
             idx = rng.integers(0, 4, size=4)
             sched = schedule_from_sequence((0.0, 0.25, 0.5, 0.75, 1.0), tuple(idx), d)

@@ -38,6 +38,8 @@ from masschase.game import (
 )
 from masschase.scenarios import make_bump
 
+from conftest import scatter_dictionary
+
 
 def _table(U, reach):
     """A hand-built table on the z nodes -1, 0, 1 (dz = 1) with no offset plane."""
@@ -93,7 +95,7 @@ class TestGameSpec:
         # the translation reduction needs every field to be Constant
         m = make_bump(-3.0, 3.0, 256, 0.0, 0.5)
         dicts = {"dictA": standard_dictionary(1.0), "dictB": standard_dictionary(1.0)}
-        dicts[side] = standard_dictionary(1.0, include_scatter=True)
+        dicts[side] = scatter_dictionary(1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="constant-only"):
             GameSpec(
                 T=0.5, t0=0.0, n_steps=2, mX0=m, mY0=m, rc=ZeroRunningCost(), fc=Overlap(), **dicts

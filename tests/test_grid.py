@@ -21,7 +21,7 @@ from masschase.grid import (
 
 from masschase.scenarios import make_bump
 
-from conftest import smooth_bump
+from conftest import smooth_bump, smooth_profile
 
 
 def triangle(x, left, peak_x, right, height):
@@ -186,14 +186,12 @@ class TestWindowIntegral:
 
     def test_partial_cells_match_fine_quadrature(self):
         # oracle: dense quadrature of the analytic profile the grid sampled
-        from masschase.scenarios import bump_profile
-
         m = smooth_bump(-2.0, 2.0, 512, 0.0, 0.6)
         xs_all = np.linspace(-0.6, 0.6, 400_001)
-        z = np.trapezoid(bump_profile(xs_all, 0.0, 0.6, 4), xs_all)
+        z = np.trapezoid(smooth_profile(xs_all, 0.0, 0.6), xs_all)
         a, b = -0.3137, 0.4422
         xs = np.linspace(a, b, 400_001)
-        oracle = np.trapezoid(bump_profile(xs, 0.0, 0.6, 4), xs) / z
+        oracle = np.trapezoid(smooth_profile(xs, 0.0, 0.6), xs) / z
         assert abs(window_integral(m, a, b) - oracle) <= 2e-6
 
 

@@ -17,7 +17,7 @@ from masschase.hamiltonian import (
 )
 from masschase.scenarios import make_bump
 
-from conftest import random_bump_pair
+from conftest import random_bump_pair, scatter_dictionary, smooth_bump, smooth_profile
 
 
 ZERO = ZeroRunningCost()
@@ -52,18 +52,17 @@ class TestTransportPairing:
         # integrates the analytic bump with Gauss-Legendre on its support and
         # normalises by the analytic mass r * 256/315
         from masschase.controls import Affine
-        from masschase.scenarios import bump_profile
 
         center, radius = 0.1, 0.7
         f = Affine(0.5, 0.1, 5.0)
         nodes, weights = np.polynomial.legendre.leggauss(200)
         xs = center + radius * nodes
-        integrand = f.value(xs) * bump_profile(xs, center, radius, 4) * np.cos(xs)
+        integrand = f.value(xs) * smooth_profile(xs, center, radius) * np.cos(xs)
         oracle = -radius * np.dot(weights, integrand) / (radius * 256.0 / 315.0)
 
         errs = []
         for n in (256, 512, 1024):
-            m = make_bump(-2.0, 2.0, n, center, radius, power=4)
+            m = smooth_bump(-2.0, 2.0, n, center, radius)
             p = GradientGrid(m.lo, m.hi, np.sin(m.x))
             errs.append(abs(transport_pairing(p, f, m) - oracle))
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
@@ -72,7 +71,7 @@ class TestTransportPairing:
     def test_diffusive_term_against_quadrature(self):
         # -sigma * integral m'' p = -sigma * integral m p'' by parts; with
         # p = x^2 that is -2 * sigma * mass
-        m = make_bump(-2.0, 2.0, 1024, 0.0, 0.6, power=4)
+        m = smooth_bump(-2.0, 2.0, 1024, 0.0, 0.6)
         p = GradientGrid(m.lo, m.hi, m.x**2)
         sigma = 0.3
         val = transport_pairing(p, Constant(0.0), m, sigma=sigma)
@@ -84,7 +83,7 @@ class TestTransportPairing:
         # discrete second derivative sums by parts
         from masschase.grid import simpson_weights
 
-        m = make_bump(-2.0, 2.0, 256, 0.1, 0.6, power=4)
+        m = smooth_bump(-2.0, 2.0, 256, 0.1, 0.6)
         p = GradientGrid(m.lo, m.hi, np.sin(2.0 * m.x) + m.x**2)
         pdd = -4.0 * np.sin(2.0 * m.x) + 2.0
         sigma = 0.3
@@ -143,7 +142,7 @@ class TestHamiltonianMinmax:
         mY = make_bump(-2.0, 2.0, 256, 0.4, 0.5)
         p = GradientGrid(mX.lo, mX.hi, np.tanh(mX.x))
         q = GradientGrid(mX.lo, mX.hi, mX.x**2 / 4.0)
-        d = standard_dictionary(1.0, include_scatter=True, xi1=-0.4, xi2=0.8)
+        d = scatter_dictionary(1.0, -0.4, 0.8)
         res = hamiltonian_minmax(mX, mY, p, q, d, d, ZERO)
         max_a = max(transport_pairing(p, a, mX) for a in d.fields)
         min_b = min(transport_pairing(q, b, mY) for b in d.fields)

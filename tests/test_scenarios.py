@@ -45,13 +45,6 @@ class TestRunnersAtDefaults:
         ]
         assert all(c.passed and c.tolerance == 1e-3 for c in oracle)
 
-    def test_mean_gap_sweep_checks_the_translated_gap(self):
-        report = scenarios.run_viscosity_sweep(fc_kind="mean_gap")
-        assert report.all_pass, report.to_text()
-        (check,) = [c for c in report.checks if c.name == "J0_vs_translated_mean_gap"]
-        assert check.reference == pytest.approx(0.09, rel=1e-15)
-        assert check.computed == report.values["J0"]
-
     def test_antelope_lion_values_are_pinned(self):
         # the push-forward's exact flows set these digits
         values = scenarios.run_antelope_lion().values
