@@ -95,6 +95,12 @@ class TestDictionary:
         assert len(d) == 3
         assert [f.c for f in d.fields] == [-1.0, 0.0, 1.0]
 
+    def test_scatter_appended_last(self):
+        d = scatter_dictionary(1.0, 0.0, 2.0)
+        assert len(d) == 4
+        assert d.fields[:3] == standard_dictionary(1.0).fields
+        assert isinstance(d[3], Scatter)
+
     def test_all_entries_admissible(self):
         d = scatter_dictionary(1.0, 0.0, 1.0)
         for f in d.fields:

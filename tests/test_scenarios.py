@@ -65,6 +65,21 @@ class TestRunnersAtDefaults:
         assert values["overlaps_static"][8] == pytest.approx(0.7674526411246374, rel=1e-12)
 
 
+class TestCheck:
+    def test_to_dict_lists_every_field_in_report_order(self):
+        # the JSON report's check objects carry these keys in this order
+        check = scenarios.make_check("gap", 0.25, 0.25, "closed form: squared gap", 1e-9)
+        assert list(check.to_dict().items()) == [
+            ("name", "gap"),
+            ("computed", 0.25),
+            ("reference", 0.25),
+            ("provenance", "closed form: squared gap"),
+            ("tolerance", 1e-9),
+            ("mode", "rel"),
+            ("passed", True),
+        ]
+
+
 class TestHeatKernelOracle:
     def test_zero_noise_is_the_trapezoid_overlap(self):
         centers, radii = (-0.2, 0.35), (0.6, 0.45)
