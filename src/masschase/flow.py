@@ -10,11 +10,14 @@ finite differencing of the flow map. The inverse flow is the same solver run
 backward in time on the negated field rather than a numerical inversion of
 the forward map.
 
-Drift-diffusion ``m_t + (v m)_x = sigma m_xx`` is solved only under spatially
-constant fields, where transport commutes with the heat semigroup: the
-density is pushed forward once and then diffused by the exact semigroup of
-the zero-Dirichlet three-point Laplacian, applied as a sine transform. There
-is no time step and no stability limit.
+Diffusion has one path, ``heat_step``: the exact semigroup of the
+zero-Dirichlet three-point Laplacian, applied as a sine transform, with no
+time step and no stability limit. Drift-diffusion ``m_t + (v m)_x = sigma
+m_xx`` is solved only under spatially constant fields, where transport is a
+translation that commutes with diffusion, so ``drift_diffuse`` is one
+push-forward then one heat step. The game and the viscosity sweep skip the
+translation: they heat-step the initial densities and read the final cost at
+the relative shift (``cost.relative_final_cost``).
 """
 
 from __future__ import annotations
@@ -144,17 +147,23 @@ def push_forward(
     return DensityGrid(m0.lo, m0.hi, values)
 
 
-def _heat_step(m: DensityGrid, s: float) -> DensityGrid:
+def heat_step(m: DensityGrid, s: float) -> DensityGrid:
     """Apply exp(s * L_h), L_h the zero-Dirichlet three-point Laplacian, exactly.
 
-    The sine vectors sin(k*pi*j/N) diagonalise L_h with eigenvalues
-    -(4/dx^2) * sin^2(k*pi/(2N)). The real FFT of the odd extension of the
-    node values is their sine transform (a DST-I), and a real multiplier
-    keeps the extension odd, so the first N + 1 entries of the inverse FFT
-    are the diffused nodes. The semigroup is positive, so every interior node
-    comes out positive; values at or below the transform's roundoff floor,
-    negative roundoff included, are set to 0 so the support stays finite.
+    ``s`` is the noise level times the duration. At s = 0 this returns ``m``
+    itself, and s < 0 raises ValueError. The sine vectors sin(k*pi*j/N)
+    diagonalise L_h with eigenvalues -(4/dx^2) * sin^2(k*pi/(2N)). The real
+    FFT of the odd extension of the node values is their sine transform (a
+    DST-I), and a real multiplier keeps the extension odd, so the first N + 1
+    entries of the inverse FFT are the diffused nodes. The semigroup is
+    positive, so every interior node comes out positive; values at or below
+    the transform's roundoff floor, negative roundoff included, are set to 0
+    so the support stays finite.
     """
+    if s < 0:
+        raise ValueError(f"the heat step needs s >= 0, got {s}")
+    if s == 0.0:
+        return m
     n = m.n_cells
     lam = -(4.0 / m.dx**2) * np.sin(np.arange(n + 1) * (np.pi / (2 * n))) ** 2
     odd = np.concatenate([m.values, -m.values[-2:0:-1]])
@@ -173,20 +182,16 @@ def drift_diffuse(
 ) -> DensityGrid:
     """Solve m_t + (v m)_x = sigma * m_xx from t0 to t1 with zero boundary values.
 
-    With sigma = 0 this is :func:`push_forward`. With sigma > 0 every field
-    on [t0, t1] must be a ``Constant``: transport is then a translation that
-    commutes with diffusion, so the result is the push-forward followed by
-    one exact heat step of length sigma * (t1 - t0). Any other field raises
-    NotReduced.
+    The result is the push-forward followed by one exact heat step of length
+    sigma * (t1 - t0), so with sigma = 0 it is :func:`push_forward`. With
+    sigma > 0 every field on [t0, t1] must be a ``Constant``, so that
+    transport is a translation that commutes with diffusion; any other field
+    raises NotReduced. A zero horizon returns ``m0``.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if t1 < t0:
-        raise ValueError("need t0 <= t1")
-    if sigma == 0.0:
-        return push_forward(m0, schedule, t0, t1)
     if t1 == t0:
         return m0
-    if not all(isinstance(f, Constant) for _, _, f in schedule.segments(t0, t1)):
+    if sigma > 0.0 and not all(isinstance(f, Constant) for _, _, f in schedule.segments(t0, t1)):
         raise NotReduced("diffusion is solved only under spatially constant fields")
-    return _heat_step(push_forward(m0, schedule, t0, t1), sigma * (t1 - t0))
+    return heat_step(push_forward(m0, schedule, t0, t1), sigma * (t1 - t0))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .controls import Constant, ControlDictionary, ControlSchedule, schedule_from_sequence
+from .controls import ControlDictionary, schedule_from_sequence
 from .cost import (
     FinalCost,
     RunningCost,
@@ -48,7 +48,7 @@ from .cost import (
     running_cost_matrix,
 )
 from .errors import BoxOverflow, TooDeep, TubeOverflow
-from .flow import drift_diffuse
+from .flow import heat_step
 from .grid import DensityGrid, support_interval
 
 _MAX_Q = 16  # the finest lattice refinement tried before advances interpolate
@@ -251,14 +251,12 @@ def _prediffused(spec: GameSpec) -> "tuple[DensityGrid, DensityGrid]":
     """Terminal-time densities before translation.
 
     Diffusion commutes with translation and the noise level is not
-    controlled, so with sigma > 0 the initial densities are diffused once
-    over the whole horizon; the final cost at a shift z is that of the
-    diffused pair.
+    controlled, so each initial density takes one heat step over the whole
+    horizon (``flow.heat_step``, the identity at sigma = 0); the final cost
+    at a shift z is that of the diffused pair.
     """
-    if spec.sigma <= 0.0:
-        return spec.mX0, spec.mY0
-    zero = ControlSchedule.constant(Constant(0.0), spec.t0, spec.T)
-    return tuple(drift_diffuse(m, zero, spec.sigma, spec.t0, spec.T) for m in (spec.mX0, spec.mY0))
+    s = spec.sigma * (spec.T - spec.t0)
+    return heat_step(spec.mX0, s), heat_step(spec.mY0, s)
 
 
 def _terminal_cost(spec: GameSpec):

@@ -15,7 +15,7 @@ from masschase.controls import (
     schedule_from_sequence,
 )
 from masschase.errors import NotReduced, TubeOverflow
-from masschase.flow import drift_diffuse, flow_arrays, push_forward
+from masschase.flow import drift_diffuse, flow_arrays, heat_step, push_forward
 from masschase.grid import (
     DensityGrid,
     sample_at,
@@ -365,7 +365,7 @@ class TestInvariantSet:
                 assert ratio >= 0.99
 
 
-class TestFokkerPlanck:
+class TestDriftDiffuse:
     def test_gaussian_variance_growth(self):
         sigma, T = 0.05, 0.4
         lo, hi, n = -4.0, 4.0, 1024
@@ -443,17 +443,23 @@ class TestHeatStep:
     @pytest.mark.parametrize("s", (1e-4, 1e-3, 1e-2, 0.1))
     def test_matches_the_dense_matrix_exponential(self, s):
         m0 = self._m0()
-        out = drift_diffuse(m0, const_schedule(0.0, 0.0, 1.0), s, 0.0, 1.0)
+        out = heat_step(m0, s)
         ref = self._dense(m0, s)
         assert np.max(np.abs(out.values - ref)) <= 1e-13 * ref.max()
 
     def test_semigroup_property(self):
         m0 = self._m0()
-        sched = const_schedule(0.0, 0.0, 1.0)
-        sigma = 0.02
-        once = drift_diffuse(m0, sched, sigma, 0.0, 0.7)
-        twice = drift_diffuse(drift_diffuse(m0, sched, sigma, 0.0, 0.3), sched, sigma, 0.3, 0.7)
+        once = heat_step(m0, 0.014)
+        twice = heat_step(heat_step(m0, 0.006), 0.008)
         assert np.max(np.abs(once.values - twice.values)) <= 1e-14 * once.values.max()
+
+    def test_zero_length_returns_the_input(self):
+        m0 = self._m0()
+        assert heat_step(m0, 0.0) is m0
+
+    def test_negative_length_raises(self):
+        with pytest.raises(ValueError):
+            heat_step(self._m0(), -1e-3)
 
 
 class TestDriftDiffuseArguments:

@@ -271,34 +271,50 @@ def _callers(root: Path) -> "list[Path]":
     return package + sorted((root / "perfbench").glob("*.py"))
 
 
-def _dict_keys(tree: ast.Module) -> "set[str]":
-    """The string keys of every dict literal in a module."""
-    return {
-        k.value
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Dict)
-        for k in n.keys
-        if isinstance(k, ast.Constant) and isinstance(k.value, str)
-    }
+def _units(tree: ast.Module):
+    """(node, unit) for every node of a module.
+
+    A node's unit is its nearest enclosing class, or outside any class its
+    nearest enclosing function, or else the module. A benchmark workload
+    builds its input dicts in one method and splats them in another, so the
+    class is the unit there.
+    """
+    stack = [(tree, tree, False)]
+    while stack:
+        node, unit, in_class = stack.pop()
+        yield node, unit
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                stack.append((child, child, True))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_class:
+                stack.append((child, child, False))
+            else:
+                stack.append((child, unit, in_class))
 
 
 def _calls(trees) -> "dict[str, list[tuple[float, set[str]]]]":
     """Positional count and keyword names of each call, per callee name.
 
     A ``*args`` splat passes every positional parameter. A ``**name`` splat
-    passes the string keys of the dict literals in the calling module; the
-    keys are gathered per module, not traced to the splatted dict.
+    passes the string keys of the dict literals in its own unit (``_units``);
+    the keys are not traced to the splatted dict.
     """
     calls: "dict[str, list]" = {}
     for tree in trees:
-        keys = _dict_keys(tree)
-        for n in ast.walk(tree):
+        nodes = list(_units(tree))
+        keys: "dict[ast.AST, set[str]]" = {}
+        for n, unit in nodes:
+            if isinstance(n, ast.Dict):
+                keys.setdefault(unit, set()).update(
+                    k.value for k in n.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                )
+        for n, unit in nodes:
             if isinstance(n, ast.Call):
                 name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
                 n_pos = math.inf if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
                 keywords = {k.arg for k in n.keywords if k.arg is not None}
                 if any(k.arg is None for k in n.keywords):
-                    keywords |= keys
+                    keywords |= keys.get(unit, set())
                 calls.setdefault(name, []).append((n_pos, keywords))
     return calls
 
@@ -327,7 +343,7 @@ def test_every_defaulted_parameter_is_passed():
 def test_the_check_sees_a_parameter_never_passed(tmp_path):
     module = (
         "def f(a, by_position=1, by_keyword=2, dead=3, *, kw_dead=4):\n    pass\n"
-        "def g(splatted=1, not_a_key=2):\n    pass\n"
+        "def g(splatted=1, not_a_key=2, other_class=3, splatted_in_class=4):\n    pass\n"
         "def h(by_args=1, *, kw_only=2):\n    pass\n"
         "def tested(x=1):\n    pass\n"
         "class A:\n"
@@ -341,6 +357,11 @@ def test_the_check_sees_a_parameter_never_passed(tmp_path):
         "perfbench/bench.py": (
             "f(0, 1, by_keyword=2)\ninp = {'splatted': 1, 2: 3}\ng(**inp)\nh(*args)\n"
             "a = A(1)\na.m(2)\nA.s(3)\n_private()\n"
+            "class W:\n"
+            "    def inputs(self):\n        return [{'splatted_in_class': 1}]\n"
+            "    def op(self, inp):\n        return g(**inp)\n"
+            "class Other:\n"
+            "    def inputs(self):\n        return [{'other_class': 1}]\n"
         ),
         "tests/test_m.py": "tested(x=0)\ng(not_a_key=0)\nh(kw_only=0)\n",
     }
@@ -350,6 +371,6 @@ def test_the_check_sees_a_parameter_never_passed(tmp_path):
     callers = [ast.parse(p.read_text(encoding="utf-8")) for p in _callers(tmp_path)]
     assert len(callers) == 2
     assert _never_passed([ast.parse(module)], callers) == {
-        "f(dead)", "f(kw_dead)", "g(not_a_key)", "h(kw_only)", "tested(x)",
+        "f(dead)", "f(kw_dead)", "g(not_a_key)", "g(other_class)", "h(kw_only)", "tested(x)",
         "A.__init__(dead)", "A.m(dead)", "A.s(dead)",
     }
