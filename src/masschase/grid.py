@@ -163,16 +163,12 @@ def sample_at(m: GradientGrid, x: "float | np.ndarray") -> "float | np.ndarray":
     return out
 
 
-def support_interval(m: DensityGrid, rel_threshold: float = 0.0) -> "tuple[float, float] | None":
-    """Smallest node interval containing all values above the threshold.
+def support_interval(m: DensityGrid) -> "tuple[float, float] | None":
+    """Smallest node interval containing all strictly positive values.
 
-    The threshold is relative to the max value; 0 selects strictly positive
-    nodes. Returns None for an (effectively) zero density.
+    Returns None for a zero density.
     """
-    peak = float(np.max(m.values))
-    if peak <= 0.0:
-        return None
-    idx = np.nonzero(m.values > rel_threshold * peak)[0]
+    idx = np.nonzero(m.values > 0.0)[0]
     if idx.size == 0:
         return None
     x = m.x

@@ -167,11 +167,10 @@ class TestSupportInterval:
     def test_zero_density_has_no_support(self):
         assert support_interval(DensityGrid(-1.0, 1.0, np.zeros(65))) is None
 
-    def test_threshold_is_relative_to_the_peak(self):
-        # nodes 0.125 apart; the triangle exceeds half its peak on (-0.25, 0.25)
+    def test_support_spans_the_strictly_positive_nodes(self):
+        # nodes 0.125 apart; the triangle is positive on (-0.5, 0.5)
         m = DensityGrid.from_callable(-1.0, 1.0, 16, lambda x: triangle(x, -0.5, 0.0, 0.5, 3.0))
         assert support_interval(m) == (-0.375, 0.375)
-        assert support_interval(m, rel_threshold=0.5) == (-0.125, 0.125)
 
 
 class TestWindowIntegral:
