@@ -23,11 +23,9 @@ the DPP residual. It reads the next level through a read-only strided window
 with one row per whole-node advance, so every advance is one contiguous row
 and a blended advance mixes two neighbouring rows.
 
-``ValueTable`` also shows U on the offset plane: ``lower[k, i, j]`` is
-``U_lower[k]`` at z = hx[i] - hy[j], a read-only strided view, with the
-per-axis spacing max-speed * dt. The reachable set of each level there is a
-centred rectangle; the table keeps its two per-axis sides and builds the
-(level, i, j) mask only when ``valid`` is read.
+Since V(k, hX, hY) = U(k, hX - hY), the offset plane holds nothing its
+hY = 0 row does not; ``ValueTable`` stores U on z alone and shows that row as
+read-only (level, node, 1) views for readers that index the plane.
 """
 
 from __future__ import annotations
@@ -134,31 +132,15 @@ def _lattice(spec: GameSpec) -> "tuple[float, int]":
     return dz, math.ceil(reach - 1e-9)
 
 
-def _axis(c_max: float, dt: float, dz: float, n_steps: int) -> "tuple[int, int, float]":
-    """Stride in lattice cells, node half-count and per-step reach of one offset axis.
-
-    The spacing is c_max * dt when that is a whole number of cells, and one
-    cell otherwise.
-    """
-    if c_max == 0.0:
-        return 0, 0, 0.0
-    per_step = c_max * dt / dz
-    i, f = _split(c_max * dt, dz)
-    p = i if f == 0.0 else 1
-    return p, math.floor(n_steps * per_step / p + 1e-9), per_step
-
-
 @dataclass(frozen=True)
 class ValueTable:
     """Lower/upper values U on the z lattice, one row per time level.
 
     ``U_lower[k, m]`` and ``U_upper[k, m]`` hold the values at z = (m - M) * dz
     for the 2M + 1 lattice nodes; level k is valid for |m - M| <= reach[k] and
-    holds NaN elsewhere. ``lower`` and ``upper`` show the same values on the
-    offset plane (hx, hy) as read-only views. Each level's reachable set
-    there is a centred rectangle: ``valid_x[k, i]`` and ``valid_y[k, j]``
-    mark its sides, and ``valid`` builds the (level, i, j) mask from them
-    only when it is read.
+    holds NaN elsewhere. ``hx``, ``hy``, ``lower``, ``upper`` and ``valid``
+    show the hY = 0 row of the offset plane, where hx = z: read-only views of
+    shape (level, node, 1).
     """
 
     times: np.ndarray
@@ -166,21 +148,6 @@ class ValueTable:
     U_lower: np.ndarray
     U_upper: np.ndarray
     reach: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
-    valid_x: np.ndarray
-    valid_y: np.ndarray
-
-    @property
-    def valid(self) -> np.ndarray:
-        """The reachable rectangle of each level on the offset plane, (level, i, j).
-
-        Built when read, as a read-only array; ``valid_x`` and ``valid_y``
-        hold its two per-axis sides.
-        """
-        valid = self.valid_x[:, :, None] & self.valid_y[:, None, :]
-        valid.setflags(write=False)
-        return valid
 
     @property
     def z(self) -> np.ndarray:
@@ -188,36 +155,28 @@ class ValueTable:
         return np.arange(-half, half + 1) * self.dz
 
     @property
-    def dh_x(self) -> float:
-        return float(self.hx[1] - self.hx[0]) if self.hx.size > 1 else 1.0
+    def hx(self) -> np.ndarray:
+        return self.z
 
     @property
-    def dh_y(self) -> float:
-        return float(self.hy[1] - self.hy[0]) if self.hy.size > 1 else 1.0
-
-    def _plane(self, U: np.ndarray) -> np.ndarray:
-        """``U[k]`` at z = hx[i] - hy[j] as a read-only (level, i, j) view."""
-        p = round(self.dh_x / self.dz) if self.hx.size > 1 else 0
-        pp = round(self.dh_y / self.dz) if self.hy.size > 1 else 0
-        half = (U.shape[1] - 1) // 2
-        nx, ny = (self.hx.size - 1) // 2, (self.hy.size - 1) // 2
-        if p * nx + pp * ny > half:
-            raise ValueError("the offset plane reaches beyond the z lattice")
-        s = U.strides[1]
-        return as_strided(
-            U[:, half - p * nx + pp * ny:],
-            shape=(U.shape[0], self.hx.size, self.hy.size),
-            strides=(U.strides[0], p * s, -pp * s),
-            writeable=False,
-        )
+    def hy(self) -> np.ndarray:
+        return np.zeros(1)
 
     @property
     def lower(self) -> np.ndarray:
-        return self._plane(self.U_lower)
+        return self.U_lower[:, :, None]
 
     @property
     def upper(self) -> np.ndarray:
-        return self._plane(self.U_upper)
+        return self.U_upper[:, :, None]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """The nodes level k holds, |m - M| <= reach[k], as a read-only mask."""
+        half = (self.U_lower.shape[1] - 1) // 2
+        valid = (np.abs(np.arange(-half, half + 1)) <= self.reach[:, None])[:, :, None]
+        valid.setflags(write=False)
+        return valid
 
     def value_at(self, which: str, level: int, hX: float, hY: float) -> float:
         """Linear interpolation of U at z = hX - hY; exact on lattice nodes.
@@ -262,11 +221,12 @@ def _prediffused(spec: GameSpec) -> "tuple[DensityGrid, DensityGrid]":
 def _terminal_cost(spec: GameSpec):
     """The final cost as a function of z, after checking both densities fit.
 
-    Raises TubeOverflow when a density's support, moved by its dictionary's
-    full reach max-speed * (T - t0), would leave the grid domain.
+    Raises TubeOverflow when an initial density's support, moved by its
+    dictionary's full reach max-speed * (T - t0), would leave the grid domain:
+    the check ``flow.push_forward`` makes. The heat step's own spread is not
+    checked, since the diffused support ends only at the roundoff floor.
     """
-    mX, mY = _prediffused(spec)
-    for m, d in ((mX, spec.dictA), (mY, spec.dictB)):
+    for m, d in ((spec.mX0, spec.dictA), (spec.mY0, spec.dictB)):
         supp = support_interval(m)
         h = d.max_speed * (spec.T - spec.t0)
         if supp is not None and (supp[0] - h < m.lo - 1e-12 or supp[1] + h > m.hi + 1e-12):
@@ -274,7 +234,7 @@ def _terminal_cost(spec: GameSpec):
                 f"a reach of {h:g} pushes support [{supp[0]:g},{supp[1]:g}] "
                 f"outside [{m.lo:g},{m.hi:g}]"
             )
-    return relative_final_cost(spec.fc, mX, mY)
+    return relative_final_cost(spec.fc, *_prediffused(spec))
 
 
 @dataclass(frozen=True)
@@ -353,7 +313,7 @@ def solve_values(spec: GameSpec) -> ValueTable:
     The terminal level is the final cost at every lattice node; level k is
     then computed on the nodes k steps can reach from the origin.
     """
-    n, dt = spec.n_steps, spec.dt
+    n = spec.n_steps
     dz, R = _lattice(spec)
     half = n * R
     reach = np.arange(n + 1) * R
@@ -370,19 +330,10 @@ def solve_values(spec: GameSpec) -> ValueTable:
         U[0, k, rows] = _lower_step(cands[0])
         U[1, k, rows] = _upper_step(cands[1])
 
-    px, nx, ax = _axis(spec.dictA.max_speed, dt, dz, n)
-    py, ny, ay = _axis(spec.dictB.max_speed, dt, dz, n)
-    hx = np.arange(-nx, nx + 1) * (px * dz)
-    hy = np.arange(-ny, ny + 1) * (py * dz)
-    levels = np.arange(n + 1)[:, None]
-    valid_x = np.abs(np.arange(-nx, nx + 1) * px) <= levels * ax + 1e-9
-    valid_y = np.abs(np.arange(-ny, ny + 1) * py) <= levels * ay + 1e-9
-
     times = spec.level_times
-    for arr in (U, reach, hx, hy, valid_x, valid_y, times):
+    for arr in (U, reach, times):
         arr.setflags(write=False)
-    return ValueTable(times=times, dz=dz, U_lower=U[0], U_upper=U[1], reach=reach,
-                      hx=hx, hy=hy, valid_x=valid_x, valid_y=valid_y)
+    return ValueTable(times=times, dz=dz, U_lower=U[0], U_upper=U[1], reach=reach)
 
 
 def dpp_residual(table: ValueTable, spec: GameSpec, k: int) -> float:

@@ -117,12 +117,14 @@ class TabulatedCandidate:
     Valid only for constant-control reduced games with unit masses: there a
     density state is a pure translate of the initial one, so its offset is
     recovered from the mean shift, and for constant fields the pairing with
-    any representer is determined by the offset-derivative of the table
-    value. The linear representer (dV/dh) * x reproduces exactly that
-    pairing. Time derivatives come from one-sided level differencing, so
-    residuals of an unconverged table are O(dt) by construction: they are
-    meant to be reported, not asserted small. Where a shift the differences
-    read is not valid at the level, ``value_at`` raises BoxOverflow.
+    any representer is determined by the z-derivative of the table value
+    U(z), z = hX - hY. The linear representers U'(z) * x for mX and
+    -U'(z) * x for mY reproduce exactly that pairing; U'(z) is one centred
+    difference over the lattice spacing dz. Time derivatives come from
+    one-sided level differencing, so residuals of an unconverged table are
+    O(dt) by construction: they are meant to be reported, not asserted
+    small. Where a shift the differences read is not valid at the level,
+    ``value_at`` raises BoxOverflow.
     """
 
     def __init__(self, table, spec):
@@ -141,6 +143,12 @@ class TabulatedCandidate:
     def _v(self, level: int, hX: float, hY: float) -> float:
         return self.table.value_at("lower", level, hX, hY)
 
+    def _z_derivative(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
+        hX, hY = self._offsets(mX, mY)
+        k = self._level_near(t)
+        dz = self.table.dz
+        return (self._v(k, hX + dz, hY) - self._v(k, hX - dz, hY)) / (2.0 * dz)
+
     def time_derivative(self, mX: DensityGrid, mY: DensityGrid, t: float) -> float:
         hX, hY = self._offsets(mX, mY)
         k = self._level_near(t)
@@ -148,18 +156,10 @@ class TabulatedCandidate:
         return (self._v(k + 1, hX, hY) - self._v(k, hX, hY)) / dt
 
     def grad_x(self, mX: DensityGrid, mY: DensityGrid, t: float) -> GradientGrid:
-        hX, hY = self._offsets(mX, mY)
-        k = self._level_near(t)
-        dh = self.table.dh_x
-        dv = (self._v(k, hX + dh, hY) - self._v(k, hX - dh, hY)) / (2.0 * dh)
-        return GradientGrid(mX.lo, mX.hi, dv * mX.x)
+        return GradientGrid(mX.lo, mX.hi, self._z_derivative(mX, mY, t) * mX.x)
 
     def grad_y(self, mX: DensityGrid, mY: DensityGrid, t: float) -> GradientGrid:
-        hX, hY = self._offsets(mX, mY)
-        k = self._level_near(t)
-        dh = self.table.dh_y
-        dv = (self._v(k, hX, hY + dh) - self._v(k, hX, hY - dh)) / (2.0 * dh)
-        return GradientGrid(mY.lo, mY.hi, dv * mY.x)
+        return GradientGrid(mY.lo, mY.hi, -self._z_derivative(mX, mY, t) * mY.x)
 
 
 def isaacs_residual(

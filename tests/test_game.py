@@ -42,13 +42,11 @@ from conftest import scatter_dictionary
 
 
 def _table(U, reach):
-    """A hand-built table on the z nodes -1, 0, 1 (dz = 1) with no offset plane."""
+    """A hand-built table on the z nodes -1, 0, 1 (dz = 1)."""
     U = np.asarray(U, dtype=float)
-    zero = np.array([0.0])
     return ValueTable(
         times=np.arange(U.shape[0], dtype=float), dz=1.0, U_lower=U, U_upper=U,
-        reach=np.asarray(reach), hx=zero, hy=zero, valid_x=np.ones((U.shape[0], 1), dtype=bool),
-        valid_y=np.ones((U.shape[0], 1), dtype=bool),
+        reach=np.asarray(reach),
     )
 
 
@@ -207,26 +205,21 @@ class TestSolveValues:
         spec = _spec(0.6, 0.5, 4, MeanDiffSquared(), ZeroRunningCost(), d[dictA], d[dictB])
         assert solve_values(spec).dz == pytest.approx(spec.dt / refinement, rel=1e-15)
 
-    @pytest.mark.parametrize(
-        "cA, cB, sx, sy",
-        # each axis is spaced max-speed * dt, or one lattice cell where that
-        # is not a whole number of cells
-        [(1.0, 0.5, 1.0, 0.5), (0.5, 1.0, 0.5, 1.0), (0.37, 1.0, 1.0, 1.0)],
-    )
-    def test_the_offset_plane_reads_U_at_the_relative_shift(self, cA, cB, sx, sy):
+    @pytest.mark.parametrize("cA, cB", [(1.0, 0.5), (0.5, 1.0), (0.37, 1.0)])
+    def test_the_offset_plane_reads_U_at_the_relative_shift(self, cA, cB):
+        # the plane views show its hY = 0 row, where hx is the z lattice
         spec = _spec(0.6, 0.5, 6, Overlap(), ControlEffort(0.3, 0.7),
                      _speeds(-cA, 0.0, cA), _speeds(-cB, 0.0, cB))
         table = solve_values(spec)
-        assert table.dh_x == pytest.approx(sx * spec.dt) and table.dh_y == pytest.approx(sy * spec.dt)
-        assert not table.lower.flags.writeable
-        reach_x = np.arange(7)[:, None] * cA * spec.dt + 1e-12
-        reach_y = np.arange(7)[:, None] * cB * spec.dt + 1e-12
-        rect = (np.abs(table.hx) <= reach_x)[:, :, None] & (np.abs(table.hy) <= reach_y)[:, None, :]
-        assert np.array_equal(table.valid, rect)
+        for view in (table.lower, table.upper, table.valid):
+            assert not view.flags.writeable
+        assert np.array_equal(table.hx, table.z) and np.array_equal(table.hy, [0.0])
+        half = (table.z.size - 1) // 2
+        m = np.arange(-half, half + 1)
+        assert np.array_equal(table.valid, (np.abs(m) <= table.reach[:, None])[:, :, None])
         for k, i, j in zip(*np.nonzero(table.valid)):
-            z = table.hx[i] - table.hy[j]
-            assert table.lower[k, i, j] == table.value_at("lower", k, z, 0.0)
-            assert table.upper[k, i, j] == table.value_at("upper", k, z, 0.0)
+            assert table.lower[k, i, j] == table.value_at("lower", k, table.hx[i], 0.0)
+            assert table.upper[k, i, j] == table.value_at("upper", k, table.hx[i], 0.0)
 
     def test_fractional_y_speeds_match_the_game_tree(self):
         # dictB's 0.4 is a whole number of cells only on the refined lattice
@@ -243,11 +236,9 @@ class TestSolveValues:
         # dt = 0.5 and dz = 0.5, so level 0 reads level 1 two nodes out,
         # where this table holds no node
         spec = _spec(0.6, 0.5, 1, MeanDiffSquared(), ZeroRunningCost())
-        zero = np.array([0.0])
         U = np.zeros((2, 3))
         table = ValueTable(times=spec.level_times, dz=0.5, U_lower=U, U_upper=U,
-                           reach=np.array([0, 1]), hx=zero, hy=zero,
-                           valid_x=np.ones((2, 1), dtype=bool), valid_y=np.ones((2, 1), dtype=bool))
+                           reach=np.array([0, 1]))
         with pytest.raises(BoxOverflow):
             dpp_residual(table, spec, 0)
 
@@ -265,6 +256,38 @@ class TestSolveValues:
             brute_force_value(spec)
         # a slower minimizer reaches only 0.05, which stays inside
         solve_values(dataclasses.replace(spec, dictA=_speeds(-0.1, 0.0, 0.1)))
+
+    @staticmethod
+    def _noisy(pad):
+        """The viscosity sweep's bumps at sigma = 0.1, T = 0.5, padded ``pad`` on each side.
+
+        Each player has one speed, 0.1 and -3.0, so the widest reach is 1.5.
+        """
+        d = {c: ControlDictionary((Constant(c),), AdmissibilityBounds(3.0)) for c in (0.1, -3.0)}
+        lo, hi = -1.0 - pad, 1.0 + pad
+        return GameSpec(
+            T=0.5, t0=0.0, n_steps=4, mX0=make_bump(lo, hi, 512, -0.4, 0.6),
+            mY0=make_bump(lo, hi, 512, 0.4, 0.6), dictA=d[0.1], dictB=d[-3.0],
+            rc=ZeroRunningCost(), fc=Overlap(), sigma=0.1,
+        )
+
+    def test_a_noisy_game_solves_with_the_sweep_pad(self):
+        # the heat step's support ends only at the roundoff floor, so the
+        # reach is checked against the initial supports; the sweep's pad of
+        # 6 heat-kernel widths beyond the reach then gives the value a pad
+        # of 8 widths gives
+        width = np.sqrt(2.0 * 0.1 * 0.5)
+        v6, v8 = (solve_values(self._noisy(1.5 + k * width)).value_at("lower", 0, 0.0, 0.0)
+                  for k in (6, 8))
+        assert v6 == pytest.approx(v8, rel=2e-5)
+
+    def test_a_noisy_game_raises_when_the_initial_support_cannot_reach(self):
+        # mY0's support [-0.2, 1.0] moved by the reach 1.5 needs a pad of 1.5
+        spec = self._noisy(1.4)
+        with pytest.raises(TubeOverflow, match="a reach of 1.5"):
+            solve_values(spec)
+        with pytest.raises(TubeOverflow):
+            brute_force_value(spec)
 
 
 def _per_element_candidates(step, nxt, reach_next, r):

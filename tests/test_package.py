@@ -19,7 +19,6 @@ PERFBENCH = sorted((TESTS.parent / "perfbench").glob("*.py"))
 TEST_ONLY = {
     "evaluate_J": "J is the functional the solved table is checked against",
     "TabulatedCandidate": "the candidate links a solved table to the Hamiltonian",
-    "ValueTable.z": "z names the lattice of U that the tests read",
 }
 
 # defaulted parameters that only the tests pass, each kept for a reason
